@@ -20,7 +20,6 @@ from rarepath.sampling import (
     Estimate,
     compute_q_delta,
     run_estimator,
-    sample_path,
     wnvr,
 )
 from rarepath.exact import exact_hitting_probability
@@ -44,6 +43,5 @@ __all__ = [
     "exact_hitting_probability",
     "preprocess",
     "run_estimator",
-    "sample_path",
     "wnvr",
 ]

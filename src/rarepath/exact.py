@@ -11,7 +11,7 @@ simulation estimators are validated against.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import Any
 
 import numpy as np
@@ -19,27 +19,10 @@ from scipy.sparse import csr_matrix, tril, triu
 from scipy.sparse.linalg import spsolve_triangular
 
 from rarepath.errors import ConvergenceError, StateBudgetExceeded
-from rarepath.model import GOAL, TABOO, MarkovModel, resolve_transitions
+from rarepath.model import Chain, MarkovModel
 from rarepath.preproc import PreprocessResult
 
 DEFAULT_STATE_CAP = 2_000_000
-
-
-def _rows_source(model: MarkovModel, result: PreprocessResult | None):
-    """Successor function over descriptors, reduced when requested."""
-    if result is None:
-        return lambda state: resolve_transitions(model, state)
-
-    def reduced(state: Any):
-        idx = result.indexer.lookup(state)
-        if idx is not None and idx in result.overrides:
-            return [
-                (result.indexer.state(z), p, r)
-                for z, p, r in result.overrides[idx]
-            ]
-        return resolve_transitions(model, state)
-
-    return reduced
 
 
 def exact_hitting_probability(
@@ -51,63 +34,58 @@ def exact_hitting_probability(
 ) -> tuple[float, dict[Any, float]]:
     """Probability of reaching the goal before the taboo state.
 
-    Returns (pi(s), pi for every reachable non-terminal state).  Pass the
-    preprocessing result to solve over the reduced chain instead; cycle
-    removal must leave hitting probabilities unchanged, which the test
-    suite checks against this oracle.
+    Returns (pi(s), pi for every reachable non-terminal state).  States are
+    enumerated through a ``Chain``: the model's own, or the preprocessing
+    result's to solve over the reduced chain instead (growing that chain);
+    cycle removal must leave hitting probabilities unchanged, which the
+    test suite checks against this oracle.
 
     The sweeps stop once both the step and the residual are small relative
     to the solution's scale, ||x_new - x|| <= tol * ||x|| and ||A x - b||
     <= tol * ||b|| in the max-norm, so tiny probabilities are resolved to
     the same relative accuracy as large ones.
     """
-    succ = _rows_source(model, result)
-    index: dict[Any, int] = {model.initial_state: 0}
-    states: list[Any] = [model.initial_state]
-    rows: list[list[tuple[int, float]]] = []  # -1 = goal, -2 = taboo
-    queue = deque([model.initial_state])
-    while queue:
-        state = queue.popleft()
-        row: list[tuple[int, float]] = []
-        for target, p, _r in succ(state):
-            if target is GOAL:
-                row.append((-1, p))
-            elif target is TABOO:
-                row.append((-2, p))
+    chain = result.chain if result is not None else Chain(model)
+    goal, taboo = chain.goal_index, chain.taboo_index
+    # matrix positions in breadth-first order from s
+    order = [chain.s_index]
+    pos = {chain.s_index: 0}
+    # typed arrays hold the entries without a Python object each
+    b, data, ri, ci = array("d"), array("d"), array("q"), array("q")
+    for i, y in enumerate(order):
+        targets, probs, _orders = chain.row(y)
+        diag = 1.0
+        bi = 0.0
+        for z, p in zip(targets, probs):
+            if z == goal:
+                bi += p
+            elif z == taboo:
+                continue
             else:
-                j = index.get(target)
+                j = pos.get(z)
                 if j is None:
-                    j = len(states)
+                    j = len(order)
                     if j >= state_cap:
                         raise StateBudgetExceeded(
                             f"more than {state_cap} reachable states"
                         )
-                    index[target] = j
-                    states.append(target)
-                    queue.append(target)
-                row.append((j, p))
-        rows.append(row)
-
-    n = len(states)
-    b = np.zeros(n)
-    data, ri, ci = [], [], []
-    for i, row in enumerate(rows):
-        diag = 1.0
-        for j, p in row:
-            if j == -1:
-                b[i] += p
-            elif j == -2:
-                continue
-            elif j == i:
-                diag -= p
-            else:
-                data.append(-p)
-                ri.append(i)
-                ci.append(j)
+                    pos[z] = j
+                    order.append(z)
+                if j == i:
+                    diag -= p
+                else:
+                    data.append(-p)
+                    ri.append(i)
+                    ci.append(j)
         data.append(diag)
         ri.append(i)
         ci.append(i)
-    a = csr_matrix((data, (ri, ci)), shape=(n, n))
+        b.append(bi)
+
+    n = len(order)
+    b = np.frombuffer(b)
+    rows, cols = np.frombuffer(ri, np.int64), np.frombuffer(ci, np.int64)
+    a = csr_matrix((np.frombuffer(data), (rows, cols)), shape=(n, n))
     lower = tril(a, k=0, format="csr")
     upper = triu(a, k=1, format="csr")
 
@@ -125,5 +103,5 @@ def exact_hitting_probability(
             break
     else:
         raise ConvergenceError("hitting-probability solve did not converge")
-    pi = {state: float(x[i]) for state, i in index.items()}
+    pi = {chain.indexer.state(z): float(x[i]) for i, z in enumerate(order)}
     return float(x[0]), pi

@@ -16,10 +16,6 @@ INFINITY = math.inf
 Order = int | float  # an int >= 0, or INFINITY
 
 
-def is_finite(order: Order) -> bool:
-    return order != INFINITY
-
-
 def assign_order(p: float, epsilon: float) -> int:
     """Smallest non-negative integer r such that p / eps**r > eps.
 

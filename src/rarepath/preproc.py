@@ -12,7 +12,7 @@ Three phases over the implicitly defined chain:
   dominant (minimal-order) paths from x to g, over Lambda plus its direct
   frontier Gamma.  Frontier states are resolved with their own rows;
   only the states one step beyond Lambda + Gamma are treated as reaching g
-  (never indexed), so every state that can reach g keeps a positive value
+  (never expanded), so every state that can reach g keeps a positive value
   and paths leaving Lambda are never starved of sampling mass.
 
 All tie-breaking is by state discovery order, so results are deterministic.
@@ -26,108 +26,17 @@ import time
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
-from rarepath.errors import (
-    ConvergenceError,
-    GoalUnreachableError,
-    ModelError,
-    StateBudgetExceeded,
-)
-from rarepath.model import (
-    GOAL,
-    TABOO,
-    MarkovModel,
-    StateIndexer,
-    embedded_transitions,
-    resolve_transitions,
-)
+from rarepath.errors import ConvergenceError, GoalUnreachableError, ModelError
+from rarepath.model import Chain, MarkovModel, StateIndexer
 from rarepath.orders import INFINITY, Order
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
 #: a resolved transition: (target index, probability, order)
 Edge = tuple[int, float, int]
-Row = tuple[Edge, ...]
-
-
-class ChainView:
-    """Reduced chain: the model plus HPC-removal row overrides.
-
-    Rows are resolved lazily (CTMC embedding, goal/taboo merging, state
-    indexing) and cached.  The initial state is indexed as a regular node
-    even when its descriptor satisfies the taboo predicate (regenerative
-    models reuse the start state as the return state); only transition
-    *targets* are merged into the taboo node.
-    """
-
-    def __init__(self, model: MarkovModel, state_budget: int = DEFAULT_STATE_BUDGET):
-        if model.is_goal(model.initial_state):
-            raise ModelError("initial state must not be a goal state")
-        self.model = model
-        self.state_budget = state_budget
-        self.indexer = StateIndexer()
-        self.s_index = self.indexer.index(model.initial_state)
-        self.goal_index = self.indexer.index(GOAL)
-        self.taboo_index = self.indexer.index(TABOO)
-        self.overrides: dict[int, Row] = {}
-        self._cache: dict[int, Row] = {}
-
-    def is_terminal(self, idx: int) -> bool:
-        return idx == self.goal_index or idx == self.taboo_index
-
-    def succ(self, idx: int) -> Row:
-        row = self._cache.get(idx)
-        if row is None:
-            if self.is_terminal(idx):
-                raise ModelError("terminal states have no successors")
-            override = self.overrides.get(idx)
-            if override is not None:
-                row = override
-            else:
-                descr = self.indexer.state(idx)
-                row = tuple(
-                    (self.indexer.index(target), p, r)
-                    for target, p, r in resolve_transitions(self.model, descr)
-                )
-                if len(self.indexer) > self.state_budget:
-                    raise StateBudgetExceeded(
-                        f"more than {self.state_budget} states discovered"
-                    )
-            self._cache[idx] = row
-        return row
-
-    def set_override(self, idx: int, row: Row) -> None:
-        self.overrides[idx] = row
-        self._cache[idx] = row
-
-    def frontier_row(self, idx: int, inner: frozenset[int]) -> Row:
-        """Row of ``idx`` with every target outside ``inner`` folded into g.
-
-        A folded edge keeps its probability and order.  Targets are looked
-        up, never indexed, so the states beyond ``inner`` cost neither
-        indices nor state budget.  Every indexed state other than s was
-        indexed as a merged target, so only s and unindexed targets need
-        the goal/taboo predicates, and of those only the taboo ones stay
-        apart from g.
-        """
-        row = self.overrides.get(idx)
-        if row is None:
-            model = self.model
-            row = []
-            for t in embedded_transitions(model, self.indexer.state(idx)):
-                z = self.indexer.lookup(t.target)
-                if z is None or z == self.s_index:
-                    if model.is_taboo(t.target) and not model.is_goal(t.target):
-                        z = self.taboo_index
-                    elif z is None:
-                        z = self.goal_index
-                row.append((z, t.weight, t.order))
-        return tuple(
-            (z if z in inner or self.is_terminal(z) else self.goal_index, p, r)
-            for z, p, r in row
-        )
 
 
 @dataclass
@@ -183,7 +92,7 @@ def solve_exit_distribution(
     return mu
 
 
-def loop_detect(view: ChainView, trigger: int) -> list[int] | None:
+def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
     """Find and remove the order-0 cycle through ``trigger``, if any.
 
     Computes the order-0 strongly connected component L containing the
@@ -198,18 +107,18 @@ def loop_detect(view: ChainView, trigger: int) -> list[int] | None:
     stack = [trigger]
     while stack:
         x = stack.pop()
-        if view.is_terminal(x):
+        if chain.is_terminal(x):
             continue
-        for z, _p, r in view.succ(x):
+        for z, _p, r in chain.edges(x):
             if r == 0 and z not in closure:
                 closure.add(z)
                 stack.append(z)
     # backward order-0 closure within the forward closure
     rev: dict[int, list[int]] = {x: [] for x in closure}
     for x in closure:
-        if view.is_terminal(x):
+        if chain.is_terminal(x):
             continue
-        for z, _p, r in view.succ(x):
+        for z, _p, r in chain.edges(x):
             if r == 0 and z in closure:
                 rev[z].append(x)
     members_set = {trigger}
@@ -223,7 +132,7 @@ def loop_detect(view: ChainView, trigger: int) -> list[int] | None:
     members = sorted(members_set)
     if len(members) == 1:
         has_self_loop = any(
-            z == trigger and r == 0 for z, _p, r in view.succ(trigger)
+            z == trigger and r == 0 for z, _p, r in chain.edges(trigger)
         )
         if not has_self_loop:
             return None
@@ -233,7 +142,7 @@ def loop_detect(view: ChainView, trigger: int) -> list[int] | None:
     for x in members:
         internal[x] = []
         direct[x] = []
-        for z, p, r in view.succ(x):
+        for z, p, r in chain.edges(x):
             if z in members_set:
                 internal[x].append((z, p))
             else:
@@ -247,14 +156,13 @@ def loop_detect(view: ChainView, trigger: int) -> list[int] | None:
     base = min(exit_order.values())
     mu = solve_exit_distribution(internal, direct, members, exits)
     for x in members:
-        row = tuple(
-            (z, mu[x][z], exit_order[z] - base) for z in exits if mu[x][z] > 0.0
+        chain.set_override(
+            x, ((z, mu[x][z], exit_order[z] - base) for z in exits if mu[x][z] > 0.0)
         )
-        view.set_override(x, row)
     return members
 
 
-def forward_phase(view: ChainView) -> ForwardResult:
+def forward_phase(chain: Chain) -> ForwardResult:
     """Explore the chain from s in order of increasing rarity order.
 
     Returns shortest-order distances d(s, x) and the relevant set Lambda.
@@ -262,8 +170,8 @@ def forward_phase(view: ChainView) -> ForwardResult:
     expanded; cycle removal may lower already-settled distances, in which
     case the affected states are re-queued.
     """
-    s = view.s_index
-    goal = view.goal_index
+    s = chain.s_index
+    goal = chain.goal_index
     d: dict[int, Order] = {s: 0}
     heap: list[tuple[Order, int]] = [(0, s)]
     settled: set[int] = set()
@@ -276,12 +184,12 @@ def forward_phase(view: ChainView) -> ForwardResult:
         if du > d.get(goal, INFINITY):
             break
         settled.add(x)
-        if view.is_terminal(x):
+        if chain.is_terminal(x):
             continue
         expand = True
         while expand:
             expand = False
-            for z, _p, r in view.succ(x):
+            for z, _p, r in chain.edges(x):
                 nd = du + r
                 if nd < d.get(z, INFINITY):
                     d[z] = nd
@@ -290,11 +198,11 @@ def forward_phase(view: ChainView) -> ForwardResult:
                 if (
                     r == 0
                     and z in settled
-                    and not view.is_terminal(z)
+                    and not chain.is_terminal(z)
                     and d.get(z) == du
                     and z not in benign
                 ):
-                    members = loop_detect(view, z)
+                    members = loop_detect(chain, z)
                     if members is None:
                         benign.add(z)
                         continue
@@ -326,7 +234,7 @@ class BackwardResult:
     processing_order: tuple[int, ...]
 
 
-def backward_phase(view: ChainView, lambda_set: frozenset[int]) -> BackwardResult:
+def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
     """Distance-to-goal and dominant-path probability over Lambda + Gamma.
 
     Gamma is the frontier: non-terminal states directly reachable from
@@ -346,21 +254,21 @@ def backward_phase(view: ChainView, lambda_set: frozenset[int]) -> BackwardResul
     states caught in or behind such a cycle solve the linear system above.
     States that cannot reach g get v = 0.
     """
-    goal = view.goal_index
-    taboo = view.taboo_index
-    out_edges: dict[int, Row] = {}
+    goal = chain.goal_index
+    taboo = chain.taboo_index
+    out_edges: dict[int, tuple[Edge, ...]] = {}
     gamma: set[int] = set()
     for x in sorted(lambda_set):
-        if view.is_terminal(x):
+        if chain.is_terminal(x):
             continue
-        row = view.succ(x)
+        row = tuple(chain.edges(x))
         out_edges[x] = row
         for z, _p, _r in row:
-            if z not in lambda_set and not view.is_terminal(z):
+            if z not in lambda_set and not chain.is_terminal(z):
                 gamma.add(z)
     inner = lambda_set | gamma
     for g_state in sorted(gamma):
-        out_edges[g_state] = view.frontier_row(g_state, inner)
+        out_edges[g_state] = chain.folded_edges(g_state, inner)
     nodes = set(inner)
     nodes.add(goal)
     preds: dict[int, list[Edge]] = {x: [] for x in nodes}
@@ -461,25 +369,47 @@ def _solve_cyclic_values(rest, dominant, known: Mapping[int, float]) -> dict[int
 class PreprocessResult:
     """Everything the sampler needs, plus a summary report.
 
-    Indices refer to the frozen ``indexer``.  ``overrides`` holds the
-    replacement rows produced by cycle removal; rows of all other states
-    come from the model unchanged.
+    Indices refer to ``chain``, which holds the rows resolved so far and
+    the replacement rows produced by cycle removal (``overrides``); rows
+    of all other states come from the model unchanged.  Sampling and the
+    oracle keep growing the chain; ``states_discovered`` counts the states
+    the forward phase indexed.
     """
 
-    indexer: StateIndexer
-    s_index: int
-    goal_index: int
-    taboo_index: int
+    chain: Chain
     d_forward: dict[int, Order]
     lambda_indices: frozenset[int]
     gamma_indices: frozenset[int]
     d_backward: dict[int, Order]
     v_delta: dict[int, float]
-    overrides: dict[int, Row]
     processing_order: tuple[int, ...]
     hpc_count: int
-    initial_is_taboo: bool
+    states_discovered: int
     wall_time_ms: float
+
+    @property
+    def indexer(self) -> StateIndexer:
+        return self.chain.indexer
+
+    @property
+    def s_index(self) -> int:
+        return self.chain.s_index
+
+    @property
+    def goal_index(self) -> int:
+        return self.chain.goal_index
+
+    @property
+    def taboo_index(self) -> int:
+        return self.chain.taboo_index
+
+    @property
+    def overrides(self) -> dict[int, tuple[Edge, ...]]:
+        return self.chain.overrides
+
+    @property
+    def initial_is_taboo(self) -> bool:
+        return self.chain.initial_is_taboo
 
     @property
     def d_sg(self) -> Order:
@@ -513,7 +443,7 @@ class PreprocessResult:
             "d_sg": self.d_sg,
             "p_delta": self.p_delta,
             "hpc_count": self.hpc_count,
-            "states_discovered": len(self.indexer),
+            "states_discovered": self.states_discovered,
             "wall_time_ms": round(self.wall_time_ms, 3),
         }
 
@@ -521,25 +451,28 @@ class PreprocessResult:
 def preprocess(
     model: MarkovModel, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> PreprocessResult:
-    """Run both phases and package the result for sampling."""
+    """Run both phases and package the result for sampling.
+
+    ``state_budget`` bounds the states the forward phase may index; the
+    frontier rows, sampling and the oracle grow the chain without bound.
+    """
     t0 = time.perf_counter()
-    view = ChainView(model, state_budget)
-    fwd = forward_phase(view)
-    bwd = backward_phase(view, fwd.lambda_set)
-    view.indexer.freeze()
+    chain = Chain(model, state_budget)
+    if chain.initial_is_goal:
+        raise ModelError("initial state must not be a goal state")
+    fwd = forward_phase(chain)
+    states_discovered = len(chain)
+    chain.state_budget = None
+    bwd = backward_phase(chain, fwd.lambda_set)
     return PreprocessResult(
-        indexer=view.indexer,
-        s_index=view.s_index,
-        goal_index=view.goal_index,
-        taboo_index=view.taboo_index,
+        chain=chain,
         d_forward=fwd.d_forward,
         lambda_indices=fwd.lambda_set,
         gamma_indices=bwd.gamma_set,
         d_backward=bwd.d_backward,
         v_delta=bwd.v_delta,
-        overrides=dict(view.overrides),
         processing_order=bwd.processing_order,
         hpc_count=fwd.hpc_count,
-        initial_is_taboo=model.is_taboo(model.initial_state),
+        states_discovered=states_discovered,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )

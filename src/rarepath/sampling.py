@@ -36,21 +36,16 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 import time
 from bisect import bisect_right
+from itertools import accumulate
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
-from rarepath.model import (
-    GOAL,
-    TABOO,
-    MarkovModel,
-    Terminal,
-    embed_ctmc,
-    resolve_transitions,
-)
+from rarepath.model import UNSEEN, Chain, MarkovModel
 from rarepath.orders import INFINITY
 from rarepath.preproc import PreprocessResult
 
@@ -99,8 +94,9 @@ class PathSample:
     steps: int
     left_lambda: bool
     dominant: bool
-    #: optional per-step log of (state, target, p, q, order)
-    trajectory: list[tuple[Any, Any, float, float, int]] | None = None
+    #: optional per-step log of (state, target, p, q, order), states as
+    #: chain indices
+    trajectory: list[tuple[int, int, float, float, int]] | None = None
 
 
 def _bfb_distribution(
@@ -144,73 +140,44 @@ def zva_distribution(
 class Sampler:
     """Draws regeneration-cycle paths under a change of measure.
 
-    Caches compiled per-state distributions; reads the preprocessing
-    output without mutating it, so one instance per worker is safe.
+    Walks the chain in index space: the ZVA measures read the
+    preprocessing result's chain (with its cycle-removal rows), the others
+    a chain of their own over the model's rows.  Caches compiled per-state
+    distributions and grows its chain as paths reach new states, so it is
+    not thread-safe; worker processes get their own copy of the result.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
-        self.model = model
         self.com = com
         self.result = com.result
-        self._rows: dict[Any, tuple] = {}
-        self._dists: dict[tuple, list[float]] = {}
+        self.chain = com.result.chain if com.is_zva else Chain(model)
+        #: cumulative q per state index, one map per context value
+        self._dists: tuple[dict[int, array], dict[int, array]] = ({}, {})
+        self._shared: dict[bytes, array] = {}
 
-    def _row(self, state: Any) -> tuple:
-        """(targets, probs, orders, cumulative-p) for ``state``."""
-        row = self._rows.get(state)
-        if row is None:
-            res = self.result
-            resolved = None
-            if self.com.is_zva and res is not None:
-                idx = res.indexer.lookup(state)
-                if idx is not None and idx in res.overrides:
-                    resolved = [
-                        (res.indexer.state(z), p, r)
-                        for z, p, r in res.overrides[idx]
-                    ]
-            if resolved is None:
-                resolved = resolve_transitions(self.model, state)
-            targets = tuple(t for t, _p, _r in resolved)
-            probs = tuple(p for _t, p, _r in resolved)
-            orders = tuple(r for _t, _p, r in resolved)
-            row = (targets, probs, orders)
-            self._rows[state] = row
-        return row
-
-    def _in_lambda(self, state: Any) -> bool:
+    def _value(self, idx: int) -> float:
+        """v(idx) under the active ZVA flavor; 0 outside Lambda + Gamma."""
         res = self.result
-        if isinstance(state, Terminal):
-            return True
-        idx = res.indexer.lookup(state)
-        return idx is not None and idx in res.lambda_indices
-
-    def _value(self, state: Any) -> float:
-        """v(target) under the active ZVA flavor."""
-        res = self.result
-        if state is GOAL:
-            return 1.0
-        if state is TABOO:
-            return 0.0
-        idx = res.indexer.lookup(state)
-        if idx is None:
-            return 0.0
         if self.com.kind == "zva-delta":
             return res.v_delta.get(idx, 0.0)
         d = res.d_backward.get(idx, INFINITY)
         return 0.0 if d == INFINITY else self.com.epsilon**d
 
-    def _distribution(self, state: Any, context: bool) -> list[float]:
+    def _distribution(self, idx: int, context: bool) -> array:
         """Cumulative q over the state's row.
 
         ``context`` flags the measure's state dependence: for igbs it is
         "previous step had order 0", for ZVA it is "still inside Lambda".
         """
-        key = (state, context)
-        cum = self._dists.get(key)
+        dists = self._dists[context]
+        cum = dists.get(idx)
         if cum is not None:
             return cum
-        targets, probs, orders = self._row(state)
         kind = self.com.kind
+        zva_inside = context and self.com.is_zva
+        # only the ZVA values read the targets
+        resolve = self.chain.row if zva_inside else self.chain.fetch
+        targets, probs, orders = resolve(idx)
         if kind == "mc":
             q = list(probs)
         elif kind == "bfb":
@@ -218,27 +185,27 @@ class Sampler:
         elif kind == "igbs":
             share = self.com.delta if context else self.com.p
             q = _bfb_distribution(probs, orders, share)
-        else:  # zva
-            if context:
-                q = zva_distribution(probs, [self._value(t) for t in targets])
-                if q is None:
-                    q = list(probs)
-            else:
+        elif zva_inside:
+            q = zva_distribution(probs, [self._value(z) for z in targets])
+            if q is None:
                 q = list(probs)
-        cum = []
-        acc = 0.0
-        for qi in q:
-            acc += qi
-            cum.append(acc)
+        else:
+            q = list(probs)
+        cum = array("d", accumulate(q))
         cum[-1] = 1.0  # guard against round-off at the top end
-        self._dists[key] = cum
+        # rows with equal distributions (under bfb, all rows with the same
+        # orders) share one array
+        cum = dists[idx] = self._shared.setdefault(cum.tobytes(), cum)
         return cum
 
     def sample(
         self, rng: random.Random, record: bool = False, max_steps: int = 10_000_000
     ) -> PathSample:
         com = self.com
-        state = self.model.initial_state
+        chain = self.chain
+        goal, taboo = chain.goal_index, chain.taboo_index
+        lambda_set = com.result.lambda_indices if com.is_zva else frozenset()
+        state = chain.s_index
         likelihood = 1.0
         order_sum = 0
         steps = 0
@@ -251,7 +218,7 @@ class Sampler:
                 raise ConvergenceError("path exceeded the step cap")
             context = prev_zero if com.kind == "igbs" else inside
             cum = self._distribution(state, context)
-            targets, probs, orders = self._row(state)
+            targets, probs, orders = chain.fetch(state)
             i = bisect_right(cum, rng.random())
             if i >= len(cum):
                 i = len(cum) - 1
@@ -261,9 +228,11 @@ class Sampler:
             steps += 1
             prev_zero = orders[i] == 0
             target = targets[i]
+            if target == UNSEEN:
+                target = chain.target(state, i)
             if record:
                 trajectory.append((state, target, probs[i], q_i, orders[i]))
-            if target is GOAL:
+            if target == goal:
                 dominant = (
                     com.is_zva
                     and not left_lambda
@@ -273,51 +242,15 @@ class Sampler:
                     True, likelihood, order_sum, steps, left_lambda, dominant,
                     trajectory,
                 )
-            if target is TABOO:
+            if target == taboo:
                 return PathSample(
                     False, likelihood, order_sum, steps, left_lambda, False,
                     trajectory,
                 )
-            if inside and not self._in_lambda(target):
+            if inside and target not in lambda_set:
                 left_lambda = True
                 inside = False
             state = target
-
-
-def sample_path(
-    model: MarkovModel,
-    com: ChangeOfMeasure,
-    rng: random.Random,
-    record: bool = False,
-) -> PathSample:
-    """Draw a single path (convenience wrapper around ``Sampler``)."""
-    return Sampler(model, com).sample(rng, record=record)
-
-
-def _reduced_rows(model: MarkovModel, result: PreprocessResult) -> dict[int, tuple]:
-    """Index-space rows of the reduced chain over Lambda."""
-    rows: dict[int, tuple] = {}
-    for x in result.lambda_indices:
-        if x in (result.goal_index, result.taboo_index):
-            continue
-        row = result.overrides.get(x)
-        if row is None:
-            resolved = []
-            for t, p, r in resolve_transitions(model, result.indexer.state(x)):
-                if t is GOAL:
-                    z = result.goal_index
-                elif t is TABOO:
-                    z = result.taboo_index
-                else:
-                    z = result.indexer.lookup(t)
-                    if z is None:
-                        raise ConvergenceError(
-                            "successor of a Lambda state was never indexed"
-                        )
-                resolved.append((z, p, r))
-            row = tuple(resolved)
-        rows[x] = row
-    return rows
 
 
 def compute_q_delta(
@@ -337,27 +270,20 @@ def compute_q_delta(
     if not com.is_zva:
         raise ConfigError("dominance probability requires a ZVA measure")
     res = com.result
+    chain = res.chain
     sampler = Sampler(model, com)
-    rows = _reduced_rows(model, res)
     db = res.d_backward
     w: dict[int, float] = {res.goal_index: 1.0, res.taboo_index: 0.0}
     for x in res.processing_order:
-        row = rows.get(x)
-        if row is None:  # terminal, or outside Lambda
+        if x not in res.lambda_indices or chain.is_terminal(x):
             continue
-        probs = [p for _z, p, _r in row]
-        values = [
-            1.0 if z == res.goal_index
-            else 0.0 if z == res.taboo_index
-            else sampler._value(res.indexer.state(z))
-            for z, _p, _r in row
-        ]
-        q = zva_distribution(probs, values)
+        targets, probs, orders = chain.row(x)
+        q = zva_distribution(probs, [sampler._value(z) for z in targets])
         if q is None:
             q = probs
         dx = db.get(x, INFINITY)
         total = 0.0
-        for (z, _p, r), qi in zip(row, q):
+        for z, r, qi in zip(targets, orders, q):
             if r + db.get(z, INFINITY) == dx:
                 total += qi * w.get(z, 0.0)
         w[x] = total
@@ -557,98 +483,3 @@ def wnvr(mc: Estimate, other: Estimate) -> float | None:
         return None
     ratio = mc.ci_half_width / other.ci_half_width
     return ratio * ratio * mc.wall_time_s / other.wall_time_s
-
-
-def estimate_unavailability(
-    model: MarkovModel,
-    pi_estimate: float,
-    com: ChangeOfMeasure | None = None,
-    n_cycles: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Steady-state unavailability via the regenerative ratio estimator.
-
-    v = E(time in goal states per cycle) / E(cycle duration).  The
-    denominator comes from plain-MC regeneration cycles that pass through
-    goal states using the model's unmerged dynamics.  The numerator is
-    pi * E(goal sojourn | goal reached): with a ZVA measure supplied, goal
-    entries are sampled by importance sampling and weighted by likelihood;
-    re-entries within one cycle are not tracked (documented approximation
-    of the ratio estimator; no joint CI is produced).
-
-    Requires ``model.sojourn_rate`` and goal states with successors.  Only
-    models whose reachable part is free of order-0 cycles are supported
-    (sojourn times through removed cycles would be lost otherwise).
-    """
-    rng = _stream_seed(seed, 0)
-    cap = 10_000_000
-
-    def raw_step(state: Any, r: random.Random) -> Any:
-        """One jump of the original, unmerged chain."""
-        trans = list(model.successors(state))
-        if model.emits_rates:
-            trans = embed_ctmc(trans)
-        u = r.random()
-        acc = 0.0
-        for t in trans:
-            acc += t.weight
-            if u < acc:
-                return t.target
-        return trans[-1].target
-
-    duration_total = 0.0
-    goal_time_plain = 0.0
-    for _ in range(n_cycles):
-        state = model.initial_state
-        for _ in range(cap):
-            duration = 1.0 / model.sojourn_rate(state)
-            duration_total += duration
-            if model.is_goal(state):
-                goal_time_plain += duration
-            nxt = raw_step(state, rng)
-            if model.is_taboo(nxt):
-                break
-            state = nxt
-        else:
-            raise ConvergenceError("regeneration cycle exceeded the step cap")
-    mean_duration = duration_total / n_cycles
-    if com is None:
-        return (goal_time_plain / n_cycles) / mean_duration
-
-    # importance-sampled goal sojourn: likelihood-weighted mean time spent
-    # in the goal set after first entry
-    sampler = Sampler(model, com)
-    rng_is = _stream_seed(seed, 1)
-    weight_total = 0.0
-    sojourn_total = 0.0
-    for _ in range(n_cycles):
-        sample = sampler.sample(rng_is, record=True)
-        if not sample.hit_goal:
-            continue
-        # the merged jump hides which goal state was entered; conditionally
-        # on entering the goal set, entries are weight-proportional
-        pre_goal = sample.trajectory[-1][0]
-        goal_succ = [
-            t for t in model.successors(pre_goal) if model.is_goal(t.target)
-        ]
-        total_w = sum(t.weight for t in goal_succ)
-        u = rng_is.random() * total_w
-        acc = 0.0
-        state = goal_succ[-1].target
-        for t in goal_succ:
-            acc += t.weight
-            if u < acc:
-                state = t.target
-                break
-        sojourn = 0.0
-        for _ in range(cap):
-            if not model.is_goal(state):
-                break
-            sojourn += 1.0 / model.sojourn_rate(state)
-            state = raw_step(state, rng_is)
-        weight_total += sample.likelihood
-        sojourn_total += sample.likelihood * sojourn
-    if weight_total <= 0.0:
-        return 0.0
-    mean_goal_sojourn = sojourn_total / weight_total
-    return pi_estimate * mean_goal_sojourn / mean_duration

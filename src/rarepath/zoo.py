@@ -134,16 +134,6 @@ class MulticomponentModel(MarkovModel):
                 out.append(Transition(target, ct.repair_rate, 0))
         return out
 
-    def sojourn_rate(self, state: Any) -> float:
-        return sum(t.weight for t in self.successors(state))
-
-
-def make_two_type(
-    types: Sequence[ComponentType], epsilon: float
-) -> MulticomponentModel:
-    """Multicomponent system from explicit per-type specs."""
-    return MulticomponentModel(types, epsilon)
-
 
 def two_type_basic(
     k1: int = 4, k2: int = 4, c: float = 1.0, epsilon: float = 0.01
@@ -292,9 +282,6 @@ class DdsModel(MarkovModel):
         if any(counts):
             out.extend(self._repairs(state, counts))
         return out
-
-    def sojourn_rate(self, state: tuple) -> float:
-        return sum(t.weight for t in self.successors(state))
 
 
 def make_dds(strategy: str = "dedicated", epsilon: float = 0.01) -> DdsModel:

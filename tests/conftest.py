@@ -16,8 +16,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from rarepath.exact import exact_hitting_probability
 from rarepath.model import GOAL, TABOO, MarkovModel, resolve_transitions
 from rarepath.preproc import PreprocessResult
+from rarepath.zoo import make_dds
 
 
 def enumerate_chain(
@@ -181,6 +183,25 @@ def brute_force_dominant_mass(model: MarkovModel, result: PreprocessResult):
 @pytest.fixture(scope="session")
 def tol():
     return 1e-12
+
+
+@pytest.fixture(scope="session")
+def dds_oracle():
+    """pi(s) of ``make_dds(strategy, epsilon)`` from the production oracle.
+
+    Not an independent oracle: it caches ``exact_hitting_probability`` per
+    (strategy, epsilon), because solving DDS dedicated takes seconds and
+    several tests read the same values.
+    """
+    cache: dict[tuple[str, float], float] = {}
+
+    def solve(strategy: str, epsilon: float) -> float:
+        key = (strategy, epsilon)
+        if key not in cache:
+            cache[key], _ = exact_hitting_probability(make_dds(strategy, epsilon))
+        return cache[key]
+
+    return solve
 
 
 #: one human-readable verdict line per acceptance criterion, echoed at the

@@ -178,7 +178,7 @@ PUBLISHED_DDS_SIZES = {
 }
 
 
-def test_criterion_6_dds_preprocessing_sizes():
+def test_criterion_6_dds_preprocessing_sizes(dds_oracle):
     """DDS with slow disk repairs: published (|Lambda|, |Gamma|) per repair
     strategy, with a documented counting-convention fallback requiring the
     order distance d(s, g) to match the oracle's scaling."""
@@ -192,8 +192,8 @@ def test_criterion_6_dds_preprocessing_sizes():
 
     # fallback: two component failures down the system, so d(s,g) = 2 and
     # pi scales as eps^2 — confirmed against the exact oracle
-    pi_1, _ = exact_hitting_probability(make_dds("dedicated", 0.01))
-    pi_2, _ = exact_hitting_probability(make_dds("dedicated", 0.003))
+    pi_1 = dds_oracle("dedicated", 0.01)
+    pi_2 = dds_oracle("dedicated", 0.003)
     order = math.log(pi_1 / pi_2) / math.log(0.01 / 0.003)
     distance_ok = all(v == 2 for v in d_sg.values()) and abs(order - 2.0) <= 0.1
     ok = exact_match or distance_ok
@@ -212,12 +212,12 @@ def test_criterion_6_dds_preprocessing_sizes():
         assert abs(order - 2.0) <= 0.1
 
 
-def test_criterion_7_dds_confidence_interval():
+def test_criterion_7_dds_confidence_interval(dds_oracle):
     """DDS dedicated repair, eps = 0.01: the ZVA confidence interval
     contains the reference value 1.790e-5 and our own oracle's value."""
     model = make_dds("dedicated", 0.01)
     est = _zva_estimate(model, "zva-delta")
-    pi, _ = exact_hitting_probability(model)
+    pi = dds_oracle("dedicated", 0.01)
     lo = est.mean - est.ci_half_width
     hi = est.mean + est.ci_half_width
     ok = lo <= 1.790e-5 <= hi and lo <= pi <= hi

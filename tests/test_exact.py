@@ -1,5 +1,7 @@
 """Linear-solve oracle: closed forms and a second, independent solver."""
 
+from collections import Counter
+
 import pytest
 
 from rarepath.errors import StateBudgetExceeded
@@ -7,6 +9,7 @@ from rarepath.exact import exact_hitting_probability
 from rarepath.model import MarkovModel, Transition
 from rarepath.preproc import preprocess
 from rarepath.zoo import (
+    MulticomponentModel,
     make_birth_death_chain,
     two_type_basic,
     two_type_deferred,
@@ -111,3 +114,23 @@ def test_reduced_chain_option_uses_replacement_rows():
 def test_state_cap_enforced():
     with pytest.raises(StateBudgetExceeded):
         exact_hitting_probability(two_type_basic(4, 4, 1.0, 0.01), state_cap=5)
+
+
+def test_goal_predicate_asked_once_per_descriptor():
+    """The oracle classifies each descriptor once, not once per edge."""
+
+    class CountingGoal(MulticomponentModel):
+        def __init__(self, types, epsilon):
+            super().__init__(types, epsilon)
+            self.asked = Counter()
+
+        def is_goal(self, state):
+            self.asked[state] += 1
+            return super().is_goal(state)
+
+    base = two_type_basic(20, 20, 1.0, 0.1)
+    model = CountingGoal(base.types, base.epsilon)
+    exact_hitting_probability(model)
+    # 400 non-goal states and the 40 goal states next to them
+    assert len(model.asked) == 440
+    assert max(model.asked.values()) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rarepath.orders import INFINITY, assign_order, is_finite
+from rarepath.orders import INFINITY, assign_order
 
 
 def test_order_zero_for_large_probability():
@@ -47,9 +47,6 @@ def test_rejects_bad_epsilon(bad):
 
 
 def test_infinity_saturates():
-    assert not is_finite(INFINITY)
-    assert is_finite(0)
-    assert is_finite(7)
     assert INFINITY + 3 == INFINITY
     assert 3 < INFINITY
 

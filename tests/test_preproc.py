@@ -19,6 +19,7 @@ from rarepath.exact import exact_hitting_probability
 from rarepath.model import MarkovModel, Transition
 from rarepath.orders import INFINITY
 from rarepath.preproc import preprocess, solve_exit_distribution
+from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
     make_birth_death_chain,
     make_dds,
@@ -298,6 +299,18 @@ def test_report_fields():
     assert rep["lambda_size"] == result.lambda_size
     assert rep["gamma_size"] == 0
     assert rep["wall_time_ms"] >= 0
+
+
+def test_report_unchanged_after_sampling_and_oracle_grow_the_chain():
+    model = two_type_basic(6, 6, 1.0, 0.1)
+    result = preprocess(model)
+    report = result.report()
+    size = len(result.chain)
+    com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
+    run_estimator(model, com, n_runs=2000, seed=0)
+    exact_hitting_probability(model, result)
+    assert len(result.chain) > size
+    assert result.report() == report
 
 
 def test_regenerative_start_counted_once():

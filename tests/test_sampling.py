@@ -18,13 +18,12 @@ from rarepath.sampling import (
     _bfb_distribution,
     compute_q_delta,
     confidence_interval,
-    estimate_unavailability,
     run_estimator,
-    sample_path,
     wnvr,
     zva_distribution,
 )
 from rarepath.zoo import (
+    DdsModel,
     make_birth_death_chain,
     two_type_basic,
     two_type_deferred,
@@ -88,9 +87,10 @@ def test_zva_dbar_pinned_transition_probability():
     model = make_birth_death_chain(5, 0.1)
     com = com_for("zva-dbar", model)
     sampler = Sampler(model, com)
-    cum = sampler._distribution(2, context=True)
-    targets, _probs, _orders = sampler._row(2)
-    q_up = cum[0] if targets[0] == 3 else cum[1] - cum[0]
+    ix = com.result.indexer
+    cum = sampler._distribution(ix.lookup(2), context=True)
+    targets, _probs, _orders = sampler.chain.row(ix.lookup(2))
+    q_up = cum[0] if targets[0] == ix.lookup(3) else cum[1] - cum[0]
     assert q_up == pytest.approx(0.001 / (0.001 + 9e-5), rel=1e-12)
 
 
@@ -101,8 +101,11 @@ def test_zva_delta_equals_dbar_on_the_chain():
     s_dbar = Sampler(model, com_for("zva-dbar", model))
     s_delta = Sampler(model, com_for("zva-delta", model))
     for state in (1, 2, 3, 4):
-        assert s_dbar._distribution(state, True) == pytest.approx(
-            s_delta._distribution(state, True), rel=1e-12
+        assert s_dbar._distribution(
+            s_dbar.result.indexer.lookup(state), True
+        ) == pytest.approx(
+            s_delta._distribution(s_delta.result.indexer.lookup(state), True),
+            rel=1e-12,
         )
 
 
@@ -142,9 +145,10 @@ def test_sample_path_terminates_and_labels_dominance():
     model = make_birth_death_chain(5, 0.1)
     com = com_for("zva-delta", model)
     rng = random.Random(1)
+    sampler = Sampler(model, com)
     hits = 0
     for _ in range(500):
-        s = sample_path(model, com, rng)
+        s = sampler.sample(rng)
         if s.hit_goal:
             hits += 1
             # the chain's only goal paths inside Lambda are dominant
@@ -152,6 +156,30 @@ def test_sample_path_terminates_and_labels_dominance():
         else:
             assert not s.dominant
     assert hits > 400  # ZVA drives nearly every path to the goal
+
+
+def test_estimate_expands_only_states_preprocessing_never_resolved():
+    """The sampler reads the rows preprocessing resolved from its chain,
+    and resolves each further state once."""
+
+    class CountingDds(DdsModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.expanded = []
+
+        def successors(self, state):
+            self.expanded.append(state)
+            return super().successors(state)
+
+    model = CountingDds("fcfs", 0.01)
+    result = preprocess(model)
+    resolved = set(model.expanded)
+    model.expanded.clear()
+    com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
+    run_estimator(model, com, n_runs=2000, seed=0)
+    assert model.expanded, "no path left the resolved states"
+    assert not resolved.intersection(model.expanded)
+    assert len(set(model.expanded)) == len(model.expanded)
 
 
 def test_mc_hits_match_raw_frequency():
@@ -326,51 +354,3 @@ def test_rel_half_width():
     est = _estimate(0.1, 1.0)
     assert est.rel_half_width == pytest.approx(0.1)
     assert _estimate(None, 1.0).rel_half_width is None
-
-
-# ------------------------------------------------------- unavailability
-
-class UpDown(MarkovModel):
-    """Two-state CTMC: up fails at rate lam, down repairs at rate mu.
-
-    Steady-state unavailability is lam / (lam + mu).
-    """
-
-    emits_rates = True
-    epsilon = 0.1
-
-    def __init__(self, lam, mu):
-        self.lam = lam
-        self.mu = mu
-
-    @property
-    def initial_state(self):
-        return "up"
-
-    def is_goal(self, state):
-        return state == "down"
-
-    def is_taboo(self, state):
-        return state == "up"
-
-    def successors(self, state):
-        if state == "up":
-            return [Transition("down", self.lam, 1)]
-        return [Transition("up", self.mu, 0)]
-
-    def sojourn_rate(self, state):
-        return self.lam if state == "up" else self.mu
-
-
-def test_unavailability_two_state_closed_form():
-    lam, mu = 1.0, 9.0
-    model = UpDown(lam, mu)
-    v = estimate_unavailability(model, pi_estimate=1.0, n_cycles=200)
-    assert v == pytest.approx(lam / (lam + mu), rel=1e-9)
-
-
-def test_unavailability_zero_pi_gives_zero():
-    model = UpDown(1.0, 9.0)
-    com = com_for("zva-delta", model)
-    v = estimate_unavailability(model, pi_estimate=0.0, com=com, n_cycles=100)
-    assert v == 0.0

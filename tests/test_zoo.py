@@ -5,15 +5,14 @@ import math
 import pytest
 
 from rarepath.errors import ConfigError
-from rarepath.exact import exact_hitting_probability
 from rarepath.model import resolve_transitions
 from rarepath.zoo import (
     DDS_STRATEGIES,
     ComponentType,
+    MulticomponentModel,
     build_model,
     make_birth_death_chain,
     make_dds,
-    make_two_type,
     two_type_basic,
     two_type_deferred,
     two_type_unbalanced,
@@ -190,16 +189,15 @@ DDS_REFERENCE = [
 
 
 @pytest.mark.parametrize("strategy,eps,expected", DDS_REFERENCE)
-def test_dds_exact_matches_reference_solver(strategy, eps, expected):
-    model = make_dds(strategy, eps)
-    pi_s, _ = exact_hitting_probability(model)
+def test_dds_exact_matches_reference_solver(strategy, eps, expected, dds_oracle):
+    pi_s = dds_oracle(strategy, eps)
     assert pi_s == pytest.approx(expected, rel=5e-4)
 
 
-def test_dds_probability_scales_as_epsilon_squared():
+def test_dds_probability_scales_as_epsilon_squared(dds_oracle):
     """Two failures suffice to go down, so pi = Theta(eps^2)."""
-    pi_1, _ = exact_hitting_probability(make_dds("dedicated", 0.01))
-    pi_2, _ = exact_hitting_probability(make_dds("dedicated", 0.003))
+    pi_1 = dds_oracle("dedicated", 0.01)
+    pi_2 = dds_oracle("dedicated", 0.003)
     order = math.log(pi_1 / pi_2) / math.log(0.01 / 0.003)
     assert order == pytest.approx(2.0, abs=0.1)
 
@@ -222,9 +220,9 @@ def test_registry_rejects_unknown_name_and_params():
 
 
 def test_explicit_spec_constructor():
-    model = make_two_type(
+    model = MulticomponentModel(
         (ComponentType(count=2), ComponentType(count=3)), epsilon=0.05
     )
     assert model.initial_state == (0, 0)
     assert model.is_goal((2, 0))
-    assert model.sojourn_rate((0, 0)) > 0
+    assert {t.target for t in model.successors((0, 0))} == {(1, 0), (0, 1)}
