@@ -40,10 +40,11 @@ def exact_hitting_probability(
     cycle removal must leave hitting probabilities unchanged, which the
     test suite checks against this oracle.
 
-    The sweeps stop once both the step and the residual are small relative
-    to the solution's scale, ||x_new - x|| <= tol * ||x|| and ||A x - b||
-    <= tol * ||b|| in the max-norm, so tiny probabilities are resolved to
-    the same relative accuracy as large ones.
+    The sweeps stop once, in every component i, the step is small relative
+    to the solution, |x_new - x|_i <= tol * |x|_i (components at zero stay
+    there), and so is the residual, |A x - b|_i <= tol * (|b| + |A| |x|)_i.
+    Each probability is thus resolved to the same relative accuracy,
+    however far it lies below the largest one.
     """
     chain = result.chain if result is not None else Chain(model)
     goal, taboo = chain.goal_index, chain.taboo_index
@@ -90,15 +91,15 @@ def exact_hitting_probability(
     upper = triu(a, k=1, format="csr")
 
     x = np.zeros(n)
-    b_norm = np.max(b, initial=0.0)
+    abs_a = abs(a)
     for _ in range(max_iter):
         rhs = b - upper.dot(x)
         x_new = spsolve_triangular(lower, rhs, lower=True)
-        step = np.max(np.abs(x_new - x), initial=0.0)
+        step = np.abs(x_new - x)
         x = x_new
-        if (
-            step <= tol * np.max(x, initial=0.0)
-            and np.max(np.abs(a.dot(x) - b), initial=0.0) <= tol * b_norm
+        scale = np.abs(x)
+        if np.all(step <= tol * scale) and np.all(
+            np.abs(a.dot(x) - b) <= tol * (np.abs(b) + abs_a.dot(scale))
         ):
             break
     else:

@@ -86,6 +86,9 @@ def test_two_state_loop_closed_form(p, q):
         pytest.param(lambda: make_birth_death_chain(5, 0.1), id="chain"),
         # pi(s) ~ 1e-12: an absolute stopping rule stops far too early here
         pytest.param(lambda: two_type_basic(4, 4, 1.0, 1e-4), id="two-type-1e-4"),
+        # pi(s) = 1e-19 lies far below the largest component (~0.5): a
+        # rule relative to max(x) stops before pi(s) has converged
+        pytest.param(lambda: two_type_basic(20, 20, 1.0, 0.1), id="two-type-20"),
     ],
 )
 def test_agrees_with_dense_direct_solve(factory):
