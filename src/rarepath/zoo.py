@@ -242,7 +242,9 @@ class DdsModel(MarkovModel):
         return any(x >= lim for x, lim in zip(counts, _DDS_DOWN_LIMIT))
 
     def is_taboo(self, state: tuple) -> bool:
-        return len(state) == 0 or all(x == 0 for x in state)
+        if self.strategy == "fcfs":
+            return not state  # the failure list is empty
+        return all(x == 0 for x in state)
 
     def _repairs(self, state: tuple, counts: tuple[int, ...]) -> list[Transition]:
         eps = self.epsilon

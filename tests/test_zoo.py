@@ -173,6 +173,9 @@ def test_dds_fcfs_repairs_in_failure_order():
     assert repairs[0].target == (0,)  # the disk leaves the queue first
     assert repairs[0].weight == pytest.approx(0.1)  # disk repair rate eps
     assert model.is_taboo(())
+    # a list of failed component types, not a count vector
+    assert not model.is_taboo((0,))
+    assert not model.is_taboo((0, 0))
     # four failures in one cluster down the system regardless of order
     assert model.is_goal((3, 3, 3, 3))
     assert not model.is_goal((3, 4, 5, 6))
