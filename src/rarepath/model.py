@@ -10,8 +10,8 @@ the fly) or DTMC probabilities.
 from __future__ import annotations
 
 import abc
-from array import array
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 

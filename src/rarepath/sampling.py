@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 import time
+from array import array
 from bisect import bisect_right
-from itertools import accumulate
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
