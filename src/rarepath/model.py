@@ -12,8 +12,7 @@ from __future__ import annotations
 import abc
 import enum
 from array import array
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from rarepath.errors import ModelError, StateBudgetExceeded
 from rarepath.orders import assign_order
@@ -32,8 +31,7 @@ GOAL = Terminal.GOAL
 TABOO = Terminal.TABOO
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One outgoing transition of a state.
 
     ``weight`` is a CTMC rate if the model sets ``emits_rates`` (the usual
@@ -153,7 +151,6 @@ class StateIndexer:
     def __init__(self) -> None:
         self._index: dict[Any, int] = {}
         self._states: list[Any] = []
-        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._states)
@@ -165,8 +162,6 @@ class StateIndexer:
         """Index of ``state``, assigning a fresh one if unseen."""
         idx = self._index.get(state)
         if idx is None:
-            if self._frozen:
-                raise KeyError(f"indexer frozen; unknown state {state!r}")
             idx = len(self._states)
             self._index[state] = idx
             self._states.append(state)
@@ -178,9 +173,6 @@ class StateIndexer:
 
     def state(self, idx: int) -> Any:
         return self._states[idx]
-
-    def freeze(self) -> None:
-        self._frozen = True
 
 
 #: a row: target indices, probabilities and orders, position by position

@@ -99,6 +99,10 @@ class PathSample:
     trajectory: list[tuple[int, int, float, float, int]] | None = None
 
 
+#: one state's compiled step: cumulative q, targets, p/q and orders
+Step = tuple[array, list[int], array, tuple[int, ...]]
+
+
 def _bfb_distribution(
     probs: Sequence[float], orders: Sequence[int], share: float
 ) -> list[float]:
@@ -142,17 +146,18 @@ class Sampler:
 
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
-    a chain of their own over the model's rows.  Caches compiled per-state
-    distributions and grows its chain as paths reach new states, so it is
-    not thread-safe; worker processes get their own copy of the result.
+    a chain of their own over the model's rows.  Compiles each state's
+    sampling step once per context and grows its chain as paths reach new
+    states, so it is not thread-safe; worker processes get their own copy
+    of the result.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
         self.com = com
         self.result = com.result
         self.chain = com.result.chain if com.is_zva else Chain(model)
-        #: cumulative q per state index, one map per context value
-        self._dists: tuple[dict[int, array], dict[int, array]] = ({}, {})
+        #: compiled steps per state index, one map per context value
+        self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
         self._shared: dict[bytes, array] = {}
 
     def _value(self, idx: int) -> float:
@@ -163,16 +168,14 @@ class Sampler:
         d = res.d_backward.get(idx, INFINITY)
         return 0.0 if d == INFINITY else self.com.epsilon**d
 
-    def _distribution(self, idx: int, context: bool) -> array:
-        """Cumulative q over the state's row.
+    def _compile(self, idx: int, context: bool) -> Step:
+        """The state's sampling step: cumulative q, targets, p/q, orders.
 
         ``context`` flags the measure's state dependence: for igbs it is
         "previous step had order 0", for ZVA it is "still inside Lambda".
+        p/q is taken over the width of each interval of the cumulative q;
+        an interval of width 0 is never drawn and gets ratio 0.
         """
-        dists = self._dists[context]
-        cum = dists.get(idx)
-        if cum is not None:
-            return cum
         kind = self.com.kind
         zva_inside = context and self.com.is_zva
         # only the ZVA values read the targets
@@ -193,64 +196,58 @@ class Sampler:
             q = list(probs)
         cum = array("d", accumulate(q))
         cum[-1] = 1.0  # guard against round-off at the top end
-        # rows with equal distributions (under bfb, all rows with the same
-        # orders) share one array
-        cum = dists[idx] = self._shared.setdefault(cum.tobytes(), cum)
-        return cum
+        ratios = array("d", [
+            p / w if (w := hi - lo) > 0.0 else 0.0
+            for p, lo, hi in zip(probs, [0.0, *cum], cum)
+        ])
+        # rows with equal arrays share one (under bfb, all rows with the
+        # same orders have one cum)
+        shared = self._shared
+        cum = shared.setdefault(cum.tobytes(), cum)
+        ratios = shared.setdefault(ratios.tobytes(), ratios)
+        return self._steps[context].setdefault(idx, (cum, targets, ratios, orders))
 
     def sample(
         self, rng: random.Random, record: bool = False, max_steps: int = 10_000_000
     ) -> PathSample:
-        com = self.com
-        chain = self.chain
+        com, chain, tables = self.com, self.chain, self._steps
         goal, taboo = chain.goal_index, chain.taboo_index
-        lambda_set = com.result.lambda_indices if com.is_zva else frozenset()
+        is_zva, igbs = com.is_zva, com.kind == "igbs"
+        lambda_set = com.result.lambda_indices if is_zva else frozenset()
+        d_sg = com.result.d_sg if is_zva else None
+        draw = rng.random
         state = chain.s_index
-        likelihood = 1.0
-        order_sum = 0
-        steps = 0
-        left_lambda = False
-        inside = com.is_zva  # importance sampling still active
-        prev_zero = False
+        likelihood, order_sum, left_lambda = 1.0, 0, False
+        # igbs starts after no order-0 step, ZVA with importance sampling on
+        context = is_zva
+        table = tables[context]
         trajectory: list | None = [] if record else None
-        while True:
-            if steps >= max_steps:
-                raise ConvergenceError("path exceeded the step cap")
-            context = prev_zero if com.kind == "igbs" else inside
-            cum = self._distribution(state, context)
-            targets, probs, orders = chain.fetch(state)
-            i = bisect_right(cum, rng.random())
-            if i >= len(cum):
-                i = len(cum) - 1
-            q_i = cum[i] - (cum[i - 1] if i else 0.0)
-            likelihood *= probs[i] / q_i
-            order_sum += orders[i]
-            steps += 1
-            prev_zero = orders[i] == 0
+        for steps in range(1, max_steps + 1):
+            cum, targets, ratios, orders = table.get(state) or self._compile(state, context)
+            i = bisect_right(cum, draw())
+            likelihood *= ratios[i]
+            order = orders[i]
+            order_sum += order
             target = targets[i]
             if target == UNSEEN:
                 target = chain.target(state, i)
             if record:
-                trajectory.append((state, target, probs[i], q_i, orders[i]))
-            if target == goal:
-                dominant = (
-                    com.is_zva
-                    and not left_lambda
-                    and order_sum == com.result.d_sg
-                )
+                q_i = cum[i] - (cum[i - 1] if i else 0.0)
+                trajectory.append((state, target, chain.fetch(state)[1][i], q_i, order))
+            if target == goal or target == taboo:
+                hit = target == goal
+                dominant = hit and is_zva and not left_lambda and order_sum == d_sg
                 return PathSample(
-                    True, likelihood, order_sum, steps, left_lambda, dominant,
-                    trajectory,
+                    hit, likelihood, order_sum, steps, left_lambda, dominant, trajectory
                 )
-            if target == taboo:
-                return PathSample(
-                    False, likelihood, order_sum, steps, left_lambda, False,
-                    trajectory,
-                )
-            if inside and target not in lambda_set:
-                left_lambda = True
-                inside = False
+            if igbs:
+                context = order == 0
+                table = tables[context]
+            elif context and target not in lambda_set:
+                left_lambda, context = True, False  # original dynamics from here
+                table = tables[False]
             state = target
+        raise ConvergenceError("path exceeded the step cap")
 
 
 def compute_q_delta(

@@ -154,13 +154,3 @@ def test_indexer_is_a_bijection():
 def test_indexer_assigns_in_discovery_order():
     ix = StateIndexer()
     assert [ix.index(x) for x in ("x", "y", "z")] == [0, 1, 2]
-
-
-def test_frozen_indexer_rejects_new_states():
-    ix = StateIndexer()
-    ix.index("a")
-    ix.freeze()
-    assert ix.index("a") == 0
-    assert ix.lookup("b") is None
-    with pytest.raises(KeyError):
-        ix.index("b")

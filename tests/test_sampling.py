@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rarepath.errors import ConfigError
+from rarepath.errors import ConfigError, ConvergenceError
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import MarkovModel, Transition
 from rarepath.preproc import preprocess
@@ -88,7 +88,7 @@ def test_zva_dbar_pinned_transition_probability():
     com = com_for("zva-dbar", model)
     sampler = Sampler(model, com)
     ix = com.result.indexer
-    cum = sampler._distribution(ix.lookup(2), context=True)
+    cum = sampler._compile(ix.lookup(2), context=True)[0]
     targets, _probs, _orders = sampler.chain.row(ix.lookup(2))
     q_up = cum[0] if targets[0] == ix.lookup(3) else cum[1] - cum[0]
     assert q_up == pytest.approx(0.001 / (0.001 + 9e-5), rel=1e-12)
@@ -101,10 +101,10 @@ def test_zva_delta_equals_dbar_on_the_chain():
     s_dbar = Sampler(model, com_for("zva-dbar", model))
     s_delta = Sampler(model, com_for("zva-delta", model))
     for state in (1, 2, 3, 4):
-        assert s_dbar._distribution(
+        assert s_dbar._compile(
             s_dbar.result.indexer.lookup(state), True
-        ) == pytest.approx(
-            s_delta._distribution(s_delta.result.indexer.lookup(state), True),
+        )[0] == pytest.approx(
+            s_delta._compile(s_delta.result.indexer.lookup(state), True)[0],
             rel=1e-12,
         )
 
@@ -136,7 +136,8 @@ def test_likelihood_recomputes_from_trajectory(kind):
         lik = 1.0
         for _state, _target, p, q, _r in s.trajectory:
             lik *= p / q
-        assert lik == pytest.approx(s.likelihood, rel=1e-12)
+        # the compiled p/q multiply in path order, so L is exact
+        assert lik == s.likelihood
         assert s.steps == len(s.trajectory)
         assert s.order_sum == sum(r for *_x, r in s.trajectory)
 
@@ -214,6 +215,24 @@ class SinglePath(MarkovModel):
         if state == "s":
             return [Transition("a", 0.1, 1), Transition("t", 0.9, 0)]
         return [Transition("g", 0.1, 1), Transition("t", 0.9, 0)]
+
+
+def test_step_cap_bounds_every_path():
+    """Under mc, SinglePath's paths take 1 or 2 steps: a cap of 2 never
+    trips, and a cap of 1 passes a one-step path and trips on a two-step
+    one, replayed from the same RNG state."""
+    sampler = Sampler(SinglePath(), ChangeOfMeasure("mc"))
+    rng = random.Random(0)
+    starts = {1: [], 2: []}
+    for _ in range(200):
+        before = rng.getstate()
+        starts[sampler.sample(rng, max_steps=2).steps].append(before)
+    assert starts[1] and starts[2]
+    rng.setstate(starts[1][0])
+    assert sampler.sample(rng, max_steps=1).steps == 1
+    rng.setstate(starts[2][0])
+    with pytest.raises(ConvergenceError):
+        sampler.sample(rng, max_steps=1)
 
 
 def test_q_delta_single_path_is_one():
@@ -318,6 +337,55 @@ def test_rare_event_unseen_gives_zero_width():
     assert est.mean == 0.0
     assert est.n_hits == 0
     assert est.rel_half_width is None
+
+
+#: (measure, variant, workers) -> float.hex of mean and CI half-width,
+#: hits and non-dominant runs of 2000 runs at seed 11 on
+#: two_type_deferred(epsilon=0.1), whose cycle removal sets override rows;
+#: a faster sampler must draw the same paths and the same likelihoods
+PINNED = {
+    ("mc", "plain", 1): ("0x1.8f5c28f5c28f6p-4", "0x1.aa1b1be79221ap-7", 195, 2000),
+    ("mc", "plain", 2): ("0x1.604189374bc6ap-4", "0x1.92badf79be529p-7", 172, 2000),
+    ("bfb", "plain", 1): ("0x1.60cbabe6e2606p-4", "0x1.451f99e312bbcp-7", 774, 2000),
+    ("bfb", "plain", 2): ("0x1.9d77e248fd1fcp-4", "0x1.7638c77d13e1cp-7", 822, 2000),
+    ("igbs", "plain", 1): ("0x1.bd5426b63be2fp-4", "0x1.5d9f7535c4ef3p-4", 15, 2000),
+    ("igbs", "plain", 2): ("0x1.7c6e5f41608f0p-4", "0x1.3f770872f4aedp-4", 15, 2000),
+    ("zva-dbar", "plain", 1): ("0x1.aa86a80630f59p-4", "0x1.146ea53085882p-8", 2000, 3),
+    ("zva-dbar", "plain", 2): ("0x1.b7be12d656427p-4", "0x1.33c7f89d8b605p-8", 2000, 3),
+    ("zva-dbar", "plus", 1): ("0x1.b1c29781e84b5p-4", "0x1.4dd7ddc2d8edep-10", 2000, 3),
+    ("zva-dbar", "plus", 2): ("0x1.b1baf7eb22695p-4", "0x1.4bb3a2ebb7193p-10", 2000, 3),
+    ("zva-dbar", "plusplus", 1): ("0x1.b36ad0d7f750dp-4", "0x1.6ed3df4d4263ep-36", 2000, 3),
+    ("zva-dbar", "plusplus", 2): ("0x1.b360740a3251ep-4", "0x1.16b96c5f0f6eap-16", 2000, 3),
+    ("zva-delta", "plain", 1): ("0x1.b3883c74c3934p-4", "0x1.6c7764536f03ap-16", 2000, 31),
+    ("zva-delta", "plain", 2): ("0x1.b39083cfaa07fp-4", "0x1.872348a251441p-16", 2000, 36),
+    ("zva-delta", "plus", 1): ("0x1.b3f56ff3e045ep-4", "0x1.3096d4d9a7902p-11", 2000, 31),
+    ("zva-delta", "plus", 2): ("0x1.b5142f11290e1p-4", "0x1.48bad7372aba4p-11", 2000, 36),
+    ("zva-delta", "plusplus", 1): ("0x1.b36cbaa349e5ap-4", "0x1.cfdb4c9c9a5e2p-18", 2000, 31),
+    ("zva-delta", "plusplus", 2): ("0x1.b3711ea590229p-4", "0x1.2a72f0f06869cp-17", 2000, 36),
+}
+
+
+@pytest.fixture(scope="module")
+def deferred_result():
+    model = two_type_deferred(epsilon=0.1)
+    result = preprocess(model)
+    assert result.chain.overrides
+    return model, result
+
+
+@pytest.mark.parametrize("kind, variant, workers", list(PINNED))
+def test_seeded_estimates_are_pinned(deferred_result, kind, variant, workers):
+    model, result = deferred_result
+    if kind in ("zva-dbar", "zva-delta"):
+        com = ChangeOfMeasure(kind, result=result, epsilon=model.epsilon)
+    else:
+        com = ChangeOfMeasure(kind)
+    est = run_estimator(
+        model, com, variant=variant, n_runs=2000, seed=11, workers=workers
+    )
+    hw = None if est.ci_half_width is None else est.ci_half_width.hex()
+    got = (est.mean.hex(), hw, est.n_hits, est.n_nondominant)
+    assert got == PINNED[kind, variant, workers]
 
 
 # ----------------------------------------------------------- statistics
