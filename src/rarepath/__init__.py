@@ -12,7 +12,7 @@ from rarepath.errors import (
     ModelError,
     StateBudgetExceeded,
 )
-from rarepath.model import MarkovModel, StateIndexer, Transition, embed_ctmc
+from rarepath.model import MarkovModel, StateIndexer, Transition
 from rarepath.orders import INFINITY, assign_order
 from rarepath.preproc import PreprocessResult, preprocess
 from rarepath.sampling import (
@@ -39,7 +39,6 @@ __all__ = [
     "Transition",
     "assign_order",
     "compute_q_delta",
-    "embed_ctmc",
     "exact_hitting_probability",
     "preprocess",
     "run_estimator",

@@ -25,17 +25,18 @@ from rarepath.errors import (
     ModelError,
     StateBudgetExceeded,
 )
-from rarepath.exact import exact_hitting_probability
-from rarepath.preproc import DEFAULT_STATE_BUDGET, PreprocessResult, preprocess
+from rarepath.exact import DEFAULT_STATE_CAP, exact_hitting_probability
+from rarepath.preproc import DEFAULT_STATE_BUDGET, preprocess
 from rarepath.sampling import (
     MEASURES,
     VARIANTS,
+    ZVA_MEASURES,
     ChangeOfMeasure,
     Estimate,
     run_estimator,
     wnvr,
 )
-from rarepath.zoo import MODEL_NAMES, build_model
+from rarepath.zoo import MODEL_NAMES, build_model, parse_number
 
 CSV_COLUMNS = (
     "model",
@@ -103,10 +104,16 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
 def _epsilons(args: argparse.Namespace) -> list[float]:
     if not args.epsilon:
         raise ConfigError("at least one --epsilon is required")
-    try:
-        return [float(e) for e in args.epsilon]
-    except ValueError as exc:
-        raise ConfigError(f"bad epsilon: {exc}") from exc
+    return [parse_number("--epsilon", e, float) for e in args.epsilon]
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout if it is unset."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _fmt(value: float | None, spec: str = "{:.6e}") -> str:
@@ -150,27 +157,7 @@ def _emit_table(rows: list[list[str]], fmt: str, out: str | None) -> None:
         text = "\n".join([header, sep, *body]) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _make_measure(
-    method: str,
-    model,
-    epsilon: float,
-    cache: dict[float, PreprocessResult],
-    budget: int,
-) -> ChangeOfMeasure:
-    if method in ("zva-dbar", "zva-delta"):
-        result = cache.get(epsilon)
-        if result is None:
-            result = preprocess(model, state_budget=budget)
-            cache[epsilon] = result
-        return ChangeOfMeasure(method, result=result, epsilon=epsilon)
-    return ChangeOfMeasure(method)
+    _write(text, out)
 
 
 def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str]]:
@@ -186,20 +173,25 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
     variant = args.variant or "plain"
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    n_runs = int(args.runs) if args.runs is not None else None
-    budget_ms = float(args.time_budget) if args.time_budget is not None else None
+    n_runs = parse_number("--runs", args.runs, int)
+    budget_ms = parse_number("--time-budget", args.time_budget, float)
     if n_runs is None and budget_ms is None:
         n_runs = 10_000
-    seed = int(args.seed or 0)
-    workers = int(args.workers or 1)
-    state_budget = int(args.budget or DEFAULT_STATE_BUDGET)
+    seed = parse_number("--seed", args.seed, int, 0)
+    workers = parse_number("--workers", args.workers, int, 1)
+    state_budget = parse_number("--budget", args.budget, int, DEFAULT_STATE_BUDGET)
     rows: list[list[str]] = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
-        cache: dict[float, PreprocessResult] = {}
+        result = None  # one preprocessing per epsilon, shared by the ZVA measures
         mc_estimate: Estimate | None = None
         for method in methods:
-            com = _make_measure(method, model, epsilon, cache, state_budget)
+            if method in ZVA_MEASURES:
+                if result is None:
+                    result = preprocess(model, state_budget=state_budget)
+                com = ChangeOfMeasure(method, result=result, epsilon=epsilon)
+            else:
+                com = ChangeOfMeasure(method)
             mvariant = variant if com.is_zva else "plain"
             est = run_estimator(
                 model,
@@ -223,18 +215,13 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    state_budget = int(args.budget or DEFAULT_STATE_BUDGET)
+    state_budget = parse_number("--budget", args.budget, int, DEFAULT_STATE_BUDGET)
     reports = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
         result = preprocess(model, state_budget=state_budget)
         reports.append({"model": args.model, "epsilon": epsilon, **result.report()})
-    text = json.dumps(reports, indent=2, default=str) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(reports, indent=2, default=str) + "\n", args.out)
     return 0
 
 
@@ -250,18 +237,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    cap = int(args.budget or 2_000_000)
+    cap = parse_number("--budget", args.budget, int, DEFAULT_STATE_CAP)
     out = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
         pi_s, _ = exact_hitting_probability(model, state_cap=cap)
         out.append({"model": args.model, "epsilon": epsilon, "probability": pi_s})
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
 
@@ -326,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.model:
             raise ConfigError("--model is required")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
+    except (ConfigError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StateBudgetExceeded as exc:

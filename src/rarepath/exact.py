@@ -23,14 +23,16 @@ from rarepath.model import Chain, MarkovModel
 from rarepath.preproc import PreprocessResult
 
 DEFAULT_STATE_CAP = 2_000_000
+#: componentwise relative tolerance of the Gauss-Seidel stop rule
+TOL = 1e-12
+#: sweeps before the solve gives up
+MAX_SWEEPS = 200_000
 
 
 def exact_hitting_probability(
     model: MarkovModel,
     result: PreprocessResult | None = None,
-    tol: float = 1e-12,
     state_cap: int = DEFAULT_STATE_CAP,
-    max_iter: int = 200_000,
 ) -> tuple[float, dict[Any, float]]:
     """Probability of reaching the goal before the taboo state.
 
@@ -41,10 +43,11 @@ def exact_hitting_probability(
     test suite checks against this oracle.
 
     The sweeps stop once, in every component i, the step is small relative
-    to the solution, |x_new - x|_i <= tol * |x|_i (components at zero stay
-    there), and so is the residual, |A x - b|_i <= tol * (|b| + |A| |x|)_i.
+    to the solution, |x_new - x|_i <= TOL * |x|_i (components at zero stay
+    there), and so is the residual, |A x - b|_i <= TOL * (|b| + |A| |x|)_i.
     Each probability is thus resolved to the same relative accuracy,
-    however far it lies below the largest one.
+    however far it lies below the largest one.  After MAX_SWEEPS sweeps
+    the solve gives up with ConvergenceError.
     """
     chain = result.chain if result is not None else Chain(model)
     goal, taboo = chain.goal_index, chain.taboo_index
@@ -92,14 +95,14 @@ def exact_hitting_probability(
 
     x = np.zeros(n)
     abs_a = abs(a)
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         rhs = b - upper.dot(x)
         x_new = spsolve_triangular(lower, rhs, lower=True)
         step = np.abs(x_new - x)
         x = x_new
         scale = np.abs(x)
-        if np.all(step <= tol * scale) and np.all(
-            np.abs(a.dot(x) - b) <= tol * (np.abs(b) + abs_a.dot(scale))
+        if np.all(step <= TOL * scale) and np.all(
+            np.abs(a.dot(x) - b) <= TOL * (np.abs(b) + abs_a.dot(scale))
         ):
             break
     else:

@@ -69,76 +69,43 @@ class MarkovModel(abc.ABC):
     def successors(self, state: State) -> Sequence[Transition]: ...
 
 
-def _embed_rates(
-    transitions: Sequence[Transition],
-) -> tuple[list[float], list[int | None]]:
-    """Jump probabilities and zero-based orders of CTMC rates."""
-    if not transitions:
-        raise ModelError("state has no outgoing transitions")
-    total = 0.0
-    for t in transitions:
-        if t.weight <= 0.0:
-            raise ModelError(f"non-positive rate {t.weight} to {t.target!r}")
-        if t.order is not None and t.order < 0:
-            raise ModelError(f"negative order {t.order} to {t.target!r}")
-        total += t.weight
-    base = min((t.order for t in transitions if t.order is not None), default=0)
-    return (
-        [t.weight / total for t in transitions],
-        [None if t.order is None else t.order - base for t in transitions],
-    )
-
-
-def embed_ctmc(transitions: Sequence[Transition]) -> list[Transition]:
-    """Embed CTMC rates as jump probabilities.
-
-    prob_i = rate_i / sum(rates); output orders are shifted so the most
-    probable transition class has order 0 (order_i - min order).
-    """
-    probs, orders = _embed_rates(transitions)
-    return [Transition(t.target, p, r) for t, p, r in zip(transitions, probs, orders)]
-
-
 def embedded_row(
     model: MarkovModel, state: State
-) -> tuple[list[State], list[float], list[int]]:
+) -> tuple[Sequence[State], list[float], Sequence[int]]:
     """One state's targets, probabilities and explicit orders.
 
-    Applies CTMC embedding (or probability validation) and automatic order
-    assignment; targets are left as the model gives them.
+    CTMC rates are embedded as jump probabilities, rate_i / sum(rates),
+    and their orders shifted so the most probable class has order 0;
+    DTMC probabilities are checked to sum to 1.  If any order is None,
+    every order of the row is assigned from its probability.  Targets are
+    left as the model gives them.
     """
     raw = list(model.successors(state))
     if not raw:
         raise ModelError(f"state {state!r} has no outgoing transitions")
+    targets, weights, orders = zip(*raw)
+    # summed left to right: sum() compensates on Python >= 3.12, which
+    # would move the last bits of every probability
+    total = 0.0
+    for t in raw:
+        if not t.weight > 0.0 or (not model.emits_rates and t.weight > 1.0):
+            raise ModelError(f"bad weight {t.weight} from {state!r} to {t.target!r}")
+        if t.order is not None and t.order < 0:
+            raise ModelError(f"negative order {t.order} to {t.target!r}")
+        total += t.weight
     if model.emits_rates:
-        probs, orders = _embed_rates(raw)
+        probs = [w / total for w in weights]
+        base = min((r for r in orders if r is not None), default=0)
+        orders = [None if r is None else r - base for r in orders]
+    elif abs(total - 1.0) > 1e-9:
+        raise ModelError(f"probabilities of {state!r} sum to {total}, not 1")
     else:
-        total = sum(t.weight for t in raw)
-        if abs(total - 1.0) > 1e-9:
-            raise ModelError(f"probabilities of {state!r} sum to {total}, not 1")
-        for t in raw:
-            if not 0.0 < t.weight <= 1.0:
-                raise ModelError(f"bad probability {t.weight} from {state!r}")
-        probs = [t.weight for t in raw]
-        orders = [t.order for t in raw]
+        probs = list(weights)
     if None in orders:
         assigned = [assign_order(p, model.epsilon) for p in probs]
         base = min(assigned)
         orders = [o - base for o in assigned]
-    return [t.target for t in raw], probs, orders
-
-
-def resolve_transitions(model: MarkovModel, state: State) -> list[tuple[Any, float, int]]:
-    """Expand one state into (target, probability, order) triples.
-
-    The row of ``embedded_row`` with goal and taboo targets merged into the
-    GOAL and TABOO nodes.
-    """
-    targets, probs, orders = embedded_row(model, state)
-    return [
-        (GOAL if model.is_goal(t) else TABOO if model.is_taboo(t) else t, p, r)
-        for t, p, r in zip(targets, probs, orders)
-    ]
+    return targets, probs, orders
 
 
 class StateIndexer:
@@ -224,7 +191,7 @@ class Chain:
         self.overrides: dict[int, tuple[tuple[int, float, int], ...]] = {}
         self._rows: dict[int, Row] = {}
         #: target descriptors of the fetched rows with UNSEEN targets
-        self._unseen: dict[int, list[State]] = {}
+        self._unseen: dict[int, Sequence[State]] = {}
 
     def __len__(self) -> int:
         return len(self.indexer)
@@ -263,7 +230,7 @@ class Chain:
             )
         return self.indexer.index(state)
 
-    def _model_row(self, idx: int) -> tuple[list[State], array, tuple[int, ...]]:
+    def _model_row(self, idx: int) -> tuple[Sequence[State], array, tuple[int, ...]]:
         """The model's row of ``idx``, its targets still descriptors."""
         if self.is_terminal(idx):
             raise ModelError("terminal states have no successors")

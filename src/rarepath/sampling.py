@@ -41,11 +41,12 @@ from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
-from rarepath.model import UNSEEN, Chain, MarkovModel
+from rarepath.model import UNSEEN, Chain, MarkovModel, Row
 from rarepath.orders import INFINITY
 from rarepath.preproc import PreprocessResult
 
@@ -53,6 +54,7 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _TINY = math.ulp(0.0)  # smallest positive float
 
 MEASURES = ("mc", "bfb", "igbs", "zva-dbar", "zva-delta")
+ZVA_MEASURES = ("zva-dbar", "zva-delta")
 VARIANTS = ("plain", "plus", "plusplus")
 
 
@@ -71,7 +73,7 @@ class ChangeOfMeasure:
             raise ConfigError(f"unknown measure {self.kind!r}")
         if self.kind in ("bfb", "igbs") and not 0.0 < self.p < 1.0:
             raise ConfigError("bfb/igbs need 0 < p < 1")
-        if self.kind == "igbs" and not 0.0 < self.delta < self.p:
+        if self.is_igbs and not 0.0 < self.delta < self.p:
             raise ConfigError("igbs needs 0 < delta < p")
         if self.is_zva:
             if self.result is None:
@@ -83,7 +85,39 @@ class ChangeOfMeasure:
 
     @property
     def is_zva(self) -> bool:
-        return self.kind in ("zva-dbar", "zva-delta")
+        return self.kind in ZVA_MEASURES
+
+    @property
+    def is_igbs(self) -> bool:
+        return self.kind == "igbs"
+
+    @cached_property
+    def values(self) -> dict[int, float]:
+        """v per chain index over Lambda + Gamma; absent indices have v = 0."""
+        res = self.result
+        if self.kind == "zva-delta":
+            return res.v_delta
+        return {
+            idx: self.epsilon**d for idx, d in res.d_backward.items() if d != INFINITY
+        }
+
+    def distribution(self, row: Row, context: bool) -> Sequence[float]:
+        """q over one row of the chain.
+
+        ``context`` flags the measure's state dependence: for igbs it is
+        "previous step had order 0", for ZVA it is "still inside Lambda",
+        where q reads the row's targets (which must be classified).
+        Without a change, or where every target has value 0, q is p.
+        """
+        targets, probs, orders = row
+        if self.kind in ("bfb", "igbs"):
+            return _bfb_distribution(orders, self.delta if context else self.p)
+        if context and self.is_zva:
+            values = self.values
+            q = zva_distribution(probs, [values.get(z, 0.0) for z in targets])
+            if q is not None:
+                return q
+        return probs
 
 
 @dataclass
@@ -103,9 +137,7 @@ class PathSample:
 Step = tuple[array, list[int], array, tuple[int, ...]]
 
 
-def _bfb_distribution(
-    probs: Sequence[float], orders: Sequence[int], share: float
-) -> list[float]:
+def _bfb_distribution(orders: Sequence[int], share: float) -> list[float]:
     """Failure transitions share ``share``, repairs share the rest."""
     n_f = sum(1 for r in orders if r > 0)
     n_r = len(orders) - n_f
@@ -160,41 +192,18 @@ class Sampler:
         self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
         self._shared: dict[bytes, array] = {}
 
-    def _value(self, idx: int) -> float:
-        """v(idx) under the active ZVA flavor; 0 outside Lambda + Gamma."""
-        res = self.result
-        if self.com.kind == "zva-delta":
-            return res.v_delta.get(idx, 0.0)
-        d = res.d_backward.get(idx, INFINITY)
-        return 0.0 if d == INFINITY else self.com.epsilon**d
-
     def _compile(self, idx: int, context: bool) -> Step:
         """The state's sampling step: cumulative q, targets, p/q, orders.
 
-        ``context`` flags the measure's state dependence: for igbs it is
-        "previous step had order 0", for ZVA it is "still inside Lambda".
-        p/q is taken over the width of each interval of the cumulative q;
-        an interval of width 0 is never drawn and gets ratio 0.
+        ``context`` is as in ``ChangeOfMeasure.distribution``.  p/q is
+        taken over the width of each interval of the cumulative q; an
+        interval of width 0 is never drawn and gets ratio 0.
         """
-        kind = self.com.kind
-        zva_inside = context and self.com.is_zva
         # only the ZVA values read the targets
-        resolve = self.chain.row if zva_inside else self.chain.fetch
-        targets, probs, orders = resolve(idx)
-        if kind == "mc":
-            q = list(probs)
-        elif kind == "bfb":
-            q = _bfb_distribution(probs, orders, self.com.p)
-        elif kind == "igbs":
-            share = self.com.delta if context else self.com.p
-            q = _bfb_distribution(probs, orders, share)
-        elif zva_inside:
-            q = zva_distribution(probs, [self._value(z) for z in targets])
-            if q is None:
-                q = list(probs)
-        else:
-            q = list(probs)
-        cum = array("d", accumulate(q))
+        resolve = self.chain.row if context and self.com.is_zva else self.chain.fetch
+        row = resolve(idx)
+        targets, probs, orders = row
+        cum = array("d", accumulate(self.com.distribution(row, context)))
         cum[-1] = 1.0  # guard against round-off at the top end
         ratios = array("d", [
             p / w if (w := hi - lo) > 0.0 else 0.0
@@ -212,7 +221,7 @@ class Sampler:
     ) -> PathSample:
         com, chain, tables = self.com, self.chain, self._steps
         goal, taboo = chain.goal_index, chain.taboo_index
-        is_zva, igbs = com.is_zva, com.kind == "igbs"
+        is_zva, igbs = com.is_zva, com.is_igbs
         lambda_set = com.result.lambda_indices if is_zva else frozenset()
         d_sg = com.result.d_sg if is_zva else None
         draw = rng.random
@@ -250,9 +259,7 @@ class Sampler:
         raise ConvergenceError("path exceeded the step cap")
 
 
-def compute_q_delta(
-    model: MarkovModel, com: ChangeOfMeasure
-) -> float:
+def compute_q_delta(com: ChangeOfMeasure) -> float:
     """Probability that a sampled path is dominant, under the measure.
 
     Dynamic program mirroring the backward phase: w(g) = 1 and
@@ -268,19 +275,16 @@ def compute_q_delta(
         raise ConfigError("dominance probability requires a ZVA measure")
     res = com.result
     chain = res.chain
-    sampler = Sampler(model, com)
     db = res.d_backward
     w: dict[int, float] = {res.goal_index: 1.0, res.taboo_index: 0.0}
     for x in res.processing_order:
         if x not in res.lambda_indices or chain.is_terminal(x):
             continue
-        targets, probs, orders = chain.row(x)
-        q = zva_distribution(probs, [sampler._value(z) for z in targets])
-        if q is None:
-            q = probs
+        row = chain.row(x)
+        targets, _probs, orders = row
         dx = db.get(x, INFINITY)
         total = 0.0
-        for z, r, qi in zip(targets, orders, q):
+        for z, r, qi in zip(targets, orders, com.distribution(row, True)):
             if r + db.get(z, INFINITY) == dx:
                 total += qi * w.get(z, 0.0)
         w[x] = total
@@ -416,11 +420,7 @@ def run_estimator(
     if total.n == 0:
         raise ConfigError("no replications were run")
     p_delta = com.result.p_delta if com.is_zva else None
-    q_delta = (
-        compute_q_delta(model, com)
-        if com.is_zva and variant == "plusplus"
-        else None
-    )
+    q_delta = compute_q_delta(com) if variant == "plusplus" else None
     n = total.n
     if variant == "plain":
         mean = total.sum1 / n

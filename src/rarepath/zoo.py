@@ -290,28 +290,39 @@ def make_dds(strategy: str = "dedicated", epsilon: float = 0.01) -> DdsModel:
     return DdsModel(strategy, epsilon)
 
 
+def parse_number(name: str, text: str | None, kind: type, default=None):
+    """``kind(text)``, or ``default`` if ``text`` is None.
+
+    Text that is not a number of that kind raises ConfigError naming
+    ``name``.
+    """
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{name} expects {kind.__name__}, got {text!r}") from None
+
+
 def build_model(name: str, epsilon: float, params: dict[str, str]) -> MarkovModel:
     """CLI registry: construct a model by name with string parameters."""
     p = dict(params)
 
-    def pop_int(key: str, default: int) -> int:
-        return int(p.pop(key, default))
-
-    def pop_float(key: str, default: float) -> float:
-        return float(p.pop(key, default))
+    def pop(key: str, kind: type, default):
+        return parse_number(f"--param {key}", p.pop(key, None), kind, default)
 
     if name == "chain":
-        model: MarkovModel = make_birth_death_chain(pop_int("levels", 5), epsilon)
+        model: MarkovModel = make_birth_death_chain(pop("levels", int, 5), epsilon)
     elif name == "two-type":
         model = two_type_basic(
-            pop_int("k1", 4), pop_int("k2", 4), pop_float("c", 1.0), epsilon
+            pop("k1", int, 4), pop("k2", int, 4), pop("c", float, 1.0), epsilon
         )
     elif name == "two-type-deferred":
         model = two_type_deferred(
-            pop_int("k1", 5), pop_int("k2", 2), pop_float("c", 1.0 / 50.0), epsilon
+            pop("k1", int, 5), pop("k2", int, 2), pop("c", float, 1.0 / 50.0), epsilon
         )
     elif name == "two-type-unbalanced":
-        model = two_type_unbalanced(pop_int("k1", 5), pop_int("k2", 3), epsilon)
+        model = two_type_unbalanced(pop("k1", int, 5), pop("k2", int, 3), epsilon)
     elif name == "dds":
         model = make_dds(str(p.pop("strategy", "dedicated")), epsilon)
     else:

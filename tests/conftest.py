@@ -17,9 +17,19 @@ import numpy as np
 import pytest
 
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import GOAL, TABOO, MarkovModel, resolve_transitions
+from rarepath.model import GOAL, TABOO, MarkovModel, embedded_row
 from rarepath.preproc import PreprocessResult
 from rarepath.zoo import make_dds
+
+
+def merged_row(model: MarkovModel, state):
+    """One state's (target, p, r) triples, goal and taboo targets merged
+    into the GOAL and TABOO sentinels."""
+    targets, probs, orders = embedded_row(model, state)
+    return [
+        (GOAL if model.is_goal(t) else TABOO if model.is_taboo(t) else t, p, r)
+        for t, p, r in zip(targets, probs, orders)
+    ]
 
 
 def enumerate_chain(
@@ -62,9 +72,9 @@ def enumerate_chain(
         x = queue.popleft()
         row = overrides.get(x)
         if row is None:
-            row = resolve_transitions(model, x)
+            row = merged_row(model, x)
         elif mode == "union":
-            row = row + resolve_transitions(model, x)
+            row = row + merged_row(model, x)
         rows[x] = row
         for z, _p, _r in row:
             if z in (GOAL, TABOO) or z in seen:
@@ -178,11 +188,6 @@ def brute_force_dominant_mass(model: MarkovModel, result: PreprocessResult):
             out[idx] = mass(x, db)
     mass.cache_clear()
     return out
-
-
-@pytest.fixture(scope="session")
-def tol():
-    return 1e-12
 
 
 @pytest.fixture(scope="session")

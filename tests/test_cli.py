@@ -217,6 +217,54 @@ def test_bad_epsilon_is_a_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, conf, option",
+    [
+        pytest.param(
+            ("estimate", "--model", "chain", "--runs", "abc"), None, "--runs",
+            id="runs",
+        ),
+        pytest.param(
+            ("estimate", "--model", "chain", "--seed", "x"), None, "--seed",
+            id="seed",
+        ),
+        pytest.param(
+            ("estimate", "--model", "chain", "--budget", "1e3"), None, "--budget",
+            id="budget",
+        ),
+        pytest.param(
+            ("estimate", "--model", "chain", "--time-budget", "fast"), None,
+            "--time-budget", id="time-budget",
+        ),
+        pytest.param(
+            ("compare", "--model", "chain", "--workers", "two"), None, "--workers",
+            id="workers",
+        ),
+        pytest.param(
+            ("exact", "--model", "chain", "--budget", "x"), None, "--budget",
+            id="exact-budget",
+        ),
+        pytest.param(
+            ("preprocess", "--model", "two-type", "--param", "k1=x"), None, "k1",
+            id="param",
+        ),
+        pytest.param(
+            ("estimate",), "model = chain\nruns = 1.5\n", "--runs", id="config",
+        ),
+    ],
+)
+def test_malformed_number_is_a_config_error(tmp_path, capsys, argv, conf, option):
+    """A number that does not parse ends in exit code 2, naming the option."""
+    argv = (*argv, "--epsilon", "0.1")
+    if conf is not None:
+        path = tmp_path / "exp.conf"
+        path.write_text(conf)
+        argv = (*argv, "--config", str(path))
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert option in err
+
+
 def test_state_budget_exhaustion_exit_code(capsys):
     code, _out, err = run_cli(
         capsys,

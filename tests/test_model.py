@@ -1,7 +1,5 @@
 """Model contract: CTMC embedding, transition resolution, state indexing."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +11,10 @@ from rarepath.model import (
     MarkovModel,
     StateIndexer,
     Transition,
-    embed_ctmc,
-    resolve_transitions,
+    embedded_row,
 )
+
+from conftest import merged_row
 
 
 class TinyModel(MarkovModel):
@@ -43,39 +42,50 @@ class TinyModel(MarkovModel):
         return [Transition("t", 1.0, 0)]
 
 
+def embed(transitions):
+    """``embedded_row`` of a rate model whose state "a" has ``transitions``."""
+
+    class OneRow(TinyModel):
+        def successors(self, state):
+            return transitions
+
+    return embedded_row(OneRow(), "a")
+
+
 def test_embed_normalizes_rates():
-    emb = embed_ctmc([Transition("x", 3.0, 0), Transition("y", 1.0, 1)])
-    assert emb[0].weight == pytest.approx(0.75)
-    assert emb[1].weight == pytest.approx(0.25)
-    assert [t.order for t in emb] == [0, 1]
+    _targets, probs, orders = embed([Transition("x", 3.0, 0), Transition("y", 1.0, 1)])
+    assert probs == [pytest.approx(0.75), pytest.approx(0.25)]
+    assert list(orders) == [0, 1]
 
 
 def test_embed_shifts_orders_to_zero_base():
-    emb = embed_ctmc([Transition("x", 1.0, 2), Transition("y", 1.0, 3)])
-    assert [t.order for t in emb] == [0, 1]
+    _targets, _probs, orders = embed([Transition("x", 1.0, 2), Transition("y", 1.0, 3)])
+    assert list(orders) == [0, 1]
 
 
-def test_embed_preserves_none_order():
-    emb = embed_ctmc([Transition("x", 1.0, None), Transition("y", 1.0, 0)])
-    assert emb[0].order is None
-    assert emb[1].order == 0
+def test_embed_one_none_order_assigns_every_order():
+    """The explicit order 5 gives way to the order of its probability."""
+    _targets, _probs, orders = embed(
+        [Transition("x", 1.0, None), Transition("y", 0.01, 5)]
+    )
+    assert list(orders) == [0, 2]
 
 
 def test_embed_rejects_nonpositive_rate():
     with pytest.raises(ModelError):
-        embed_ctmc([Transition("x", 0.0, 0)])
+        embed([Transition("x", 0.0, 0)])
     with pytest.raises(ModelError):
-        embed_ctmc([Transition("x", -1.0, 0)])
+        embed([Transition("x", -1.0, 0)])
 
 
 def test_embed_rejects_negative_order():
     with pytest.raises(ModelError):
-        embed_ctmc([Transition("x", 1.0, -1)])
+        embed([Transition("x", 1.0, -1)])
 
 
 def test_embed_rejects_empty():
     with pytest.raises(ModelError):
-        embed_ctmc([])
+        embed([])
 
 
 @given(
@@ -89,19 +99,21 @@ def test_embed_rejects_empty():
     )
 )
 def test_embed_probabilities_sum_to_one_and_min_order_zero(items):
-    emb = embed_ctmc([Transition(i, w, r) for i, (w, r) in enumerate(items)])
-    assert sum(t.weight for t in emb) == pytest.approx(1.0)
-    assert min(t.order for t in emb) == 0
+    _targets, probs, orders = embed(
+        [Transition(i, w, r) for i, (w, r) in enumerate(items)]
+    )
+    assert sum(probs) == pytest.approx(1.0)
+    assert min(orders) == 0
 
 
 def test_resolve_merges_terminals_and_embeds():
     model = TinyModel()
-    row = resolve_transitions(model, "a")
+    row = merged_row(model, "a")
     assert row == [
         ("b", pytest.approx(1.0 / 1.1), 0),
         (GOAL, pytest.approx(0.1 / 1.1), 1),
     ]
-    assert resolve_transitions(model, "b") == [(TABOO, 1.0, 0)]
+    assert merged_row(model, "b") == [(TABOO, 1.0, 0)]
 
 
 def test_resolve_assigns_orders_automatically():
@@ -112,7 +124,7 @@ def test_resolve_assigns_orders_automatically():
                 Transition("g", self.epsilon**2, None),
             ]
 
-    row = resolve_transitions(AutoModel(), "a")
+    row = merged_row(AutoModel(), "a")
     orders = {t: r for t, _p, r in row}
     assert orders["b"] == 0
     assert orders[GOAL] == 2
@@ -126,7 +138,7 @@ def test_resolve_probability_model_validation():
             return [Transition("b", 0.6, 0)]  # sums to 0.6
 
     with pytest.raises(ModelError):
-        resolve_transitions(BadProbModel(), "a")
+        embedded_row(BadProbModel(), "a")
 
 
 def test_resolve_rejects_dead_end():
@@ -135,7 +147,7 @@ def test_resolve_rejects_dead_end():
             return []
 
     with pytest.raises(ModelError):
-        resolve_transitions(DeadEnd(), "a")
+        embedded_row(DeadEnd(), "a")
 
 
 def test_indexer_is_a_bijection():

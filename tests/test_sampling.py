@@ -72,11 +72,11 @@ def test_zva_distribution_zero_total_falls_back():
 
 
 def test_bfb_distribution_splits_shares_uniformly():
-    q = _bfb_distribution([0.9, 0.05, 0.05], [0, 1, 2], share=0.6)
+    q = _bfb_distribution([0, 1, 2], share=0.6)
     assert q == pytest.approx([0.4, 0.3, 0.3])
     # all-failure and all-repair rows degenerate to uniform
-    assert _bfb_distribution([0.5, 0.5], [1, 2], 0.6) == pytest.approx([0.5, 0.5])
-    assert _bfb_distribution([0.5, 0.5], [0, 0], 0.6) == pytest.approx([0.5, 0.5])
+    assert _bfb_distribution([1, 2], 0.6) == pytest.approx([0.5, 0.5])
+    assert _bfb_distribution([0, 0], 0.6) == pytest.approx([0.5, 0.5])
 
 
 def test_zva_dbar_pinned_transition_probability():
@@ -238,14 +238,14 @@ def test_step_cap_bounds_every_path():
 def test_q_delta_single_path_is_one():
     model = SinglePath()
     com = com_for("zva-delta", model)
-    assert compute_q_delta(model, com) == pytest.approx(1.0)
+    assert compute_q_delta(com) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("kind", ["zva-delta", "zva-dbar"])
 def test_q_delta_matches_empirical_dominant_fraction(kind):
     model = two_type_basic(3, 3, 1.0, 0.1)
     com = com_for(kind, model)
-    q_delta = compute_q_delta(model, com)
+    q_delta = compute_q_delta(com)
     assert 0.0 < q_delta <= 1.0
     n = 20_000
     est = run_estimator(model, com, variant="plusplus", n_runs=n, seed=0)
@@ -257,7 +257,7 @@ def test_q_delta_matches_empirical_dominant_fraction(kind):
 
 def test_q_delta_requires_zva():
     with pytest.raises(ConfigError):
-        compute_q_delta(make_birth_death_chain(5, 0.1), ChangeOfMeasure("mc"))
+        compute_q_delta(ChangeOfMeasure("mc"))
 
 
 # ---------------------------------------------------------- estimators

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from rarepath.errors import ConfigError
-from rarepath.model import resolve_transitions
 from rarepath.zoo import (
     DDS_STRATEGIES,
     ComponentType,
@@ -18,7 +17,7 @@ from rarepath.zoo import (
     two_type_unbalanced,
 )
 
-from conftest import enumerate_chain
+from conftest import enumerate_chain, merged_row
 
 ALL_FACTORIES = [
     pytest.param(lambda: make_birth_death_chain(5, 0.1), id="chain"),
@@ -51,10 +50,10 @@ def test_contract_over_reachable_space(factory):
 def test_chain_edge_labels():
     """Interior level: up with (eps, order 1), down with (1 - eps, order 0)."""
     model = make_birth_death_chain(5, 0.1)
-    row = dict((t, (p, r)) for t, p, r in resolve_transitions(model, 2))
+    row = dict((t, (p, r)) for t, p, r in merged_row(model, 2))
     assert row[3] == (pytest.approx(0.1), 1)
     assert row[1] == (pytest.approx(0.9), 0)
-    start = resolve_transitions(model, "s")
+    start = merged_row(model, "s")
     assert start == [(1, 1.0, 0)]
 
 
@@ -62,7 +61,7 @@ def test_two_type_initial_split():
     """From (0,0): type 1 first with c/(c+1), type 2 first with 1/(c+1)."""
     c = 3.0
     model = two_type_basic(4, 4, c, 0.01)
-    row = {t: p for t, p, _r in resolve_transitions(model, (0, 0))}
+    row = {t: p for t, p, _r in merged_row(model, (0, 0))}
     assert row[(1, 0)] == pytest.approx(c / (c + 1.0))
     assert row[(0, 1)] == pytest.approx(1.0 / (c + 1.0))
 
