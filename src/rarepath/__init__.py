@@ -12,7 +12,7 @@ from rarepath.errors import (
     ModelError,
     StateBudgetExceeded,
 )
-from rarepath.model import MarkovModel, StateIndexer, Transition
+from rarepath.model import MarkovModel, StateIndexer
 from rarepath.orders import INFINITY, assign_order
 from rarepath.preproc import PreprocessResult, preprocess
 from rarepath.sampling import (
@@ -36,7 +36,6 @@ __all__ = [
     "PreprocessResult",
     "StateBudgetExceeded",
     "StateIndexer",
-    "Transition",
     "assign_order",
     "compute_q_delta",
     "exact_hitting_probability",

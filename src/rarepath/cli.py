@@ -317,7 +317,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, GoalUnreachableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

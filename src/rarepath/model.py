@@ -3,16 +3,29 @@
 A model describes a discrete-time Markov chain implicitly: an initial
 state, goal/taboo predicates, and a successor function.  Goal states are
 merged into a single absorbing node g, taboo states into a single node t;
-neither is ever expanded.  Successor weights may be CTMC rates (embedded on
-the fly) or DTMC probabilities.
+neither is ever expanded.  ``successors`` returns a state's row as three
+parallel sequences, targets, weights and rarity orders, position by
+position.  Weights may be CTMC rates (embedded on the fly) or DTMC
+probabilities; an order of None asks for automatic assignment.  A gambler's
+ruin with up-rate eps = 0.1 and down-rate 1:
+
+    class Ruin(MarkovModel):
+        initial_state = 1
+        def is_goal(self, x): return x == 3
+        def is_taboo(self, x): return x == 0
+        def successors(self, x): return (x + 1, x - 1), (0.1, 1.0), (1, 0)
 """
 
 from __future__ import annotations
 
 import abc
 import enum
+import math
 from array import array
-from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from rarepath.errors import ModelError, StateBudgetExceeded
 from rarepath.orders import assign_order
@@ -31,20 +44,6 @@ GOAL = Terminal.GOAL
 TABOO = Terminal.TABOO
 
 
-class Transition(NamedTuple):
-    """One outgoing transition of a state.
-
-    ``weight`` is a CTMC rate if the model sets ``emits_rates`` (the usual
-    case for the built-in models), otherwise a probability.  ``order`` is
-    the rarity order of the rate/probability; ``None`` requests automatic
-    assignment from the embedded probability.
-    """
-
-    target: State
-    weight: float
-    order: int | None = 0
-
-
 class MarkovModel(abc.ABC):
     """Implicit Markov chain with merged goal and taboo sets."""
 
@@ -52,7 +51,7 @@ class MarkovModel(abc.ABC):
     emits_rates: bool = True
 
     #: rarity parameter; used for automatic order assignment when a
-    #: transition carries ``order=None``
+    #: successor's order is None
     epsilon: float = 0.1
 
     @property
@@ -66,7 +65,8 @@ class MarkovModel(abc.ABC):
     def is_taboo(self, state: State) -> bool: ...
 
     @abc.abstractmethod
-    def successors(self, state: State) -> Sequence[Transition]: ...
+    def successors(self, state: State) -> tuple[Sequence, Sequence, Sequence]:
+        """(targets, weights, orders) of ``state``, position by position."""
 
 
 def embedded_row(
@@ -80,28 +80,39 @@ def embedded_row(
     every order of the row is assigned from its probability.  Targets are
     left as the model gives them.
     """
-    raw = list(model.successors(state))
-    if not raw:
+    row = targets, weights, orders = model.successors(state)
+    if not targets:
         raise ModelError(f"state {state!r} has no outgoing transitions")
-    targets, weights, orders = zip(*raw)
     # summed left to right: sum() compensates on Python >= 3.12, which
     # would move the last bits of every probability
-    total = 0.0
-    for t in raw:
-        if not t.weight > 0.0 or (not model.emits_rates and t.weight > 1.0):
-            raise ModelError(f"bad weight {t.weight} from {state!r} to {t.target!r}")
-        if t.order is not None and t.order < 0:
-            raise ModelError(f"negative order {t.order} to {t.target!r}")
-        total += t.weight
+    total = reduce(add, weights, 0.0)
+    auto = None in orders
+    base = min([r for r in orders if r is not None] if auto else orders, default=0)
+    # a NaN weight fails min() only in first place, but the sum anywhere
+    if not (
+        len(targets) == len(weights) == len(orders)
+        and min(weights) > 0.0
+        and total < math.inf
+        and (model.emits_rates or max(weights) <= 1.0)
+        and base >= 0
+    ):
+        if not len(targets) == len(weights) == len(orders):
+            raise ModelError(f"unequal lengths {[*map(len, row)]} in row of {state!r}")
+        for t, w, r in zip(*row):  # name the first bad edge
+            if not 0.0 < w < math.inf or (not model.emits_rates and w > 1.0):
+                raise ModelError(f"bad weight {w} from {state!r} to {t!r}")
+            if r is not None and r < 0:
+                raise ModelError(f"negative order {r} to {t!r}")
+        raise ModelError(f"weights of {state!r} sum to {total}")
     if model.emits_rates:
-        probs = [w / total for w in weights]
-        base = min((r for r in orders if r is not None), default=0)
-        orders = [None if r is None else r - base for r in orders]
+        probs = list(map(total.__rtruediv__, weights))
+        if base and not auto:
+            orders = [r - base for r in orders]
     elif abs(total - 1.0) > 1e-9:
         raise ModelError(f"probabilities of {state!r} sum to {total}, not 1")
     else:
         probs = list(weights)
-    if None in orders:
+    if auto:
         assigned = [assign_order(p, model.epsilon) for p in probs]
         base = min(assigned)
         orders = [o - base for o in assigned]
@@ -118,6 +129,8 @@ class StateIndexer:
     def __init__(self) -> None:
         self._index: dict[Any, int] = {}
         self._states: list[Any] = []
+        #: index of a state or None (or a given default), never assigning
+        self.lookup = self._index.get
 
     def __len__(self) -> int:
         return len(self._states)
@@ -134,9 +147,9 @@ class StateIndexer:
             self._states.append(state)
         return idx
 
-    def lookup(self, state: Any) -> int | None:
-        """Index of ``state`` or None, never assigning."""
-        return self._index.get(state)
+    def alias(self, state: Any, idx: int) -> None:
+        """Map ``state`` to the existing index ``idx`` (a merged node)."""
+        self._index[state] = idx
 
     def state(self, idx: int) -> Any:
         return self._states[idx]
@@ -156,20 +169,20 @@ class Chain:
     ``model.successors``; a row set by ``set_override`` (cycle removal)
     replaces the model's.  A descriptor met as a target is classified when
     first needed: plain ones get dense indices in first-discovery order,
-    taboo ones map to the merged TABOO node, and both are remembered.
-    Goal targets map to the merged GOAL node; their descriptors are not
-    kept, because the goal boundary can be as large as the state space
-    and each goal state is usually entered from a single state.
+    taboo ones become indexer aliases of the merged TABOO node.  Goal
+    targets map to the merged GOAL node; their descriptors are not kept,
+    because the goal boundary can be as large as the state space and each
+    goal state is usually entered from a single state.
 
     ``row`` classifies every target of a row; ``fetch`` and ``target`` let
     a sampler classify only the targets it steps to, so the states next to
     its path cost neither indices nor predicate calls.
 
     The initial state is indexed as a regular node even when its
-    descriptor satisfies the taboo predicate (regenerative models reuse
-    the start state as the return state); only transition *targets* are
-    merged into the taboo node.  While ``state_budget`` is set, indexing
-    more states than it allows raises ``StateBudgetExceeded``.
+    descriptor satisfies the goal or taboo predicate (regenerative models
+    reuse the start state as the return state); only transition *targets*
+    are merged into the terminal nodes.  While ``state_budget`` is set,
+    indexing more states than it allows raises ``StateBudgetExceeded``.
     """
 
     def __init__(self, model: MarkovModel, state_budget: int | None = None):
@@ -180,12 +193,11 @@ class Chain:
         self.s_index = self.indexer.index(s)
         self.goal_index = self.indexer.index(GOAL)
         self.taboo_index = self.indexer.index(TABOO)
-        #: taboo descriptors met so far, and s if it is a goal or taboo
-        self._terminal: dict[Any, int] = {}
-        if model.is_goal(s):
-            self._terminal[s] = self.goal_index
-        elif model.is_taboo(s):
-            self._terminal[s] = self.taboo_index
+        #: the index that s stands for as a target: its own, or g or t
+        self._s_target = (
+            self.goal_index if model.is_goal(s)
+            else self.taboo_index if model.is_taboo(s) else self.s_index
+        )
         #: one tuple per distinct order vector, shared by the rows
         self._orders: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.overrides: dict[int, tuple[tuple[int, float, int], ...]] = {}
@@ -198,56 +210,50 @@ class Chain:
 
     @property
     def initial_is_goal(self) -> bool:
-        return self._terminal.get(self.model.initial_state) == self.goal_index
+        return self._s_target == self.goal_index
 
     @property
     def initial_is_taboo(self) -> bool:
-        return self._terminal.get(self.model.initial_state) == self.taboo_index
+        return self._s_target == self.taboo_index
 
     def is_terminal(self, idx: int) -> bool:
         return idx == self.goal_index or idx == self.taboo_index
 
-    def _known(self, state: State) -> int | None:
-        """Target index of a descriptor classified before, else None."""
-        z = self.indexer.lookup(state)
-        if z is None or z == self.s_index:
-            z = self._terminal.get(state, z)
-        return z
+    def _known(self, states: Sequence[State]) -> list[int]:
+        """Target indices of descriptors classified before, else UNSEEN."""
+        targets = list(map(self.indexer.lookup, states, repeat(UNSEEN)))
+        s, s_target = self.s_index, self._s_target
+        if s_target != s and s in targets:
+            targets = [s_target if z == s else z for z in targets]
+        return targets
 
     def _classify(self, state: State) -> int:
         """Target index of a descriptor, classifying it if it is new."""
-        z = self._known(state)
+        z = self.indexer.lookup(state)
         if z is not None:
-            return z
+            return self._s_target if z == self.s_index else z
         if self.model.is_goal(state):
             return self.goal_index
         if self.model.is_taboo(state):
-            self._terminal[state] = self.taboo_index
+            self.indexer.alias(state, self.taboo_index)
             return self.taboo_index
         if self.state_budget is not None and len(self.indexer) >= self.state_budget:
-            raise StateBudgetExceeded(
-                f"more than {self.state_budget} states discovered"
-            )
+            raise StateBudgetExceeded(f"more than {self.state_budget} states discovered")
         return self.indexer.index(state)
-
-    def _model_row(self, idx: int) -> tuple[Sequence[State], array, tuple[int, ...]]:
-        """The model's row of ``idx``, its targets still descriptors."""
-        if self.is_terminal(idx):
-            raise ModelError("terminal states have no successors")
-        states, probs, orders = embedded_row(self.model, self.indexer.state(idx))
-        orders = tuple(orders)
-        return states, array("d", probs), self._orders.setdefault(orders, orders)
 
     def fetch(self, idx: int) -> Row:
         """The row of ``idx``; targets not classified yet read UNSEEN."""
         row = self._rows.get(idx)
         if row is None:
-            states, probs, orders = self._model_row(idx)
-            known = self._known
-            targets = [UNSEEN if (z := known(t)) is None else z for t in states]
+            if self.is_terminal(idx):
+                raise ModelError("terminal states have no successors")
+            states, probs, orders = embedded_row(self.model, self.indexer.state(idx))
+            orders = tuple(orders)
+            orders = self._orders.setdefault(orders, orders)
+            targets = self._known(states)
             if UNSEEN in targets:
-                self._unseen[idx] = states
-            row = self._rows[idx] = (targets, probs, orders)
+                self._unseen[idx] = tuple(states)
+            row = self._rows[idx] = (targets, array("d", probs), orders)
         return row
 
     def target(self, idx: int, i: int) -> int:
@@ -260,17 +266,13 @@ class Chain:
 
     def row(self, idx: int) -> Row:
         """The row of ``idx`` with every target classified."""
-        row = self._rows.get(idx)
-        if row is None:
-            states, probs, orders = self._model_row(idx)
-            row = self._rows[idx] = (list(map(self._classify, states)), probs, orders)
-        else:
-            states = self._unseen.pop(idx, None)
-            if states is not None:
-                targets = row[0]
-                for i, z in enumerate(targets):
-                    if z == UNSEEN:
-                        targets[i] = self._classify(states[i])
+        row = self.fetch(idx)
+        states = self._unseen.pop(idx, None)
+        if states is not None:
+            targets = row[0]
+            for i, z in enumerate(targets):
+                if z == UNSEEN:
+                    targets[i] = self._classify(states[i])
         return row
 
     def edges(self, idx: int) -> Iterator[tuple[int, float, int]]:
@@ -290,26 +292,23 @@ class Chain:
         fresh = idx not in self._rows
         targets, probs, orders = self.fetch(idx)
         states = self._unseen.get(idx)
-        model = self.model
-        goal = self.goal_index
-        folded = []
-        for i, (z, p, r) in enumerate(zip(targets, probs, orders)):
-            if z == UNSEEN:
-                t = states[i]
-                # a target of a row fetched earlier may be classified since
-                z = None if fresh else self._known(t)
-                if z is None:
-                    taboo = model.is_taboo(t) and not model.is_goal(t)
-                    z = self.taboo_index if taboo else goal
-            folded.append((z if z in inner or self.is_terminal(z) else goal, p, r))
-        return tuple(folded)
+        goal, taboo = self.goal_index, self.taboo_index
+        if states is not None:
+            # a target of a row fetched earlier may be classified since
+            known = targets if fresh else self._known(states)
+            model = self.model
+            targets = [
+                z if z != UNSEEN else y if y != UNSEEN
+                else taboo if model.is_taboo(t) and not model.is_goal(t) else goal
+                for z, y, t in zip(targets, known, states)
+            ]
+        return tuple(
+            (z if z in inner or z == taboo else goal, p, r)
+            for z, p, r in zip(targets, probs, orders)
+        )
 
     def set_override(self, idx: int, edges: Iterable[tuple[int, float, int]]) -> None:
-        edges = tuple(edges)
-        self.overrides[idx] = edges
+        edges = self.overrides[idx] = tuple(edges)
         self._unseen.pop(idx, None)
-        self._rows[idx] = (
-            [z for z, _p, _r in edges],
-            array("d", (p for _z, p, _r in edges)),
-            tuple(r for _z, _p, r in edges),
-        )
+        targets, probs, orders = zip(*edges)
+        self._rows[idx] = (list(targets), array("d", probs), orders)

@@ -191,6 +191,8 @@ class Sampler:
         #: compiled steps per state index, one map per context value
         self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
         self._shared: dict[bytes, array] = {}
+        #: bfb/igbs: cumulative q per (orders, context), all that q reads
+        self._cums: dict[tuple[tuple[int, ...], bool], array] = {}
 
     def _compile(self, idx: int, context: bool) -> Step:
         """The state's sampling step: cumulative q, targets, p/q, orders.
@@ -203,16 +205,20 @@ class Sampler:
         resolve = self.chain.row if context and self.com.is_zva else self.chain.fetch
         row = resolve(idx)
         targets, probs, orders = row
-        cum = array("d", accumulate(self.com.distribution(row, context)))
-        cum[-1] = 1.0  # guard against round-off at the top end
+        shared = self._shared
+        key = (orders, context) if self.com.kind in ("bfb", "igbs") else None
+        cum = self._cums.get(key)
+        if cum is None:
+            cum = array("d", accumulate(self.com.distribution(row, context)))
+            cum[-1] = 1.0  # guard against round-off at the top end
+            cum = shared.setdefault(cum.tobytes(), cum)
+            if key is not None:
+                self._cums[key] = cum
         ratios = array("d", [
             p / w if (w := hi - lo) > 0.0 else 0.0
             for p, lo, hi in zip(probs, [0.0, *cum], cum)
         ])
-        # rows with equal arrays share one (under bfb, all rows with the
-        # same orders have one cum)
-        shared = self._shared
-        cum = shared.setdefault(cum.tobytes(), cum)
+        # rows with equal arrays share one
         ratios = shared.setdefault(ratios.tobytes(), ratios)
         return self._steps[context].setdefault(idx, (cum, targets, ratios, orders))
 

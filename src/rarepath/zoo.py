@@ -15,11 +15,11 @@ prefactor * eps**order so preprocessing sees exact rarity orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import ge
 from typing import Any, Sequence
 
 from rarepath.errors import ConfigError
-from rarepath.model import MarkovModel, Transition
+from rarepath.model import MarkovModel
 
 
 class BirthDeathChain(MarkovModel):
@@ -48,15 +48,12 @@ class BirthDeathChain(MarkovModel):
     def is_taboo(self, state: Any) -> bool:
         return state == "t"
 
-    def successors(self, state: Any) -> list[Transition]:
+    def successors(self, state: Any) -> tuple[tuple, tuple, tuple]:
         if state == "s":
-            return [Transition(1, 1.0, 0)]
+            return (1,), (1.0,), (0,)
         eps = self.epsilon
         down = state - 1 if state > 1 else "t"
-        return [
-            Transition(state + 1, eps, 1),
-            Transition(down, 1.0 - eps, 0),
-        ]
+        return (state + 1, down), (eps, 1.0 - eps), (1, 0)
 
 
 def make_birth_death_chain(levels: int = 5, epsilon: float = 0.1) -> BirthDeathChain:
@@ -106,33 +103,36 @@ class MulticomponentModel(MarkovModel):
     def __init__(self, types: Sequence[ComponentType], epsilon: float):
         self.types = tuple(types)
         self.epsilon = epsilon
+        self._sizes = tuple(ct.count for ct in self.types)
 
     @property
     def initial_state(self) -> tuple[int, ...]:
         return (0,) * len(self.types)
 
     def is_goal(self, state: Any) -> bool:
-        return any(x >= ct.count for x, ct in zip(state, self.types))
+        return any(map(ge, state, self._sizes))
 
     def is_taboo(self, state: Any) -> bool:
-        return all(x == 0 for x in state)
+        return not any(state)
 
-    def successors(self, state: Any) -> list[Transition]:
+    def successors(self, state: Any) -> tuple[list, list[float], list[int]]:
         eps = self.epsilon
-        out: list[Transition] = []
+        targets, weights, orders = [], [], []
         for i, (x, ct) in enumerate(zip(state, self.types)):
             if x < ct.count:
                 if x >= 1 and ct.spare_prefactor is not None:
                     pre, order = ct.spare_prefactor, ct.spare_order
                 else:
                     pre, order = ct.fail_prefactor, ct.fail_order
-                target = state[:i] + (x + 1,) + state[i + 1 :]
-                out.append(Transition(target, pre * eps**order, order))
+                targets.append(state[:i] + (x + 1,) + state[i + 1 :])
+                weights.append(pre * eps**order)
+                orders.append(order)
             if x >= ct.repair_threshold:
                 new_x = 0 if ct.group_repair else x - 1
-                target = state[:i] + (new_x,) + state[i + 1 :]
-                out.append(Transition(target, ct.repair_rate, 0))
-        return out
+                targets.append(state[:i] + (new_x,) + state[i + 1 :])
+                weights.append(ct.repair_rate)
+                orders.append(0)
+        return targets, weights, orders
 
 
 def two_type_basic(
@@ -222,68 +222,62 @@ class DdsModel(MarkovModel):
             raise ConfigError(f"unknown DDS strategy {strategy!r}")
         self.strategy = strategy
         self.epsilon = epsilon
+        # per type: the failure rate for each failed count, the repair rate
+        self._fail_rates = [
+            [(n - x) * pre * epsilon**_DDS_FAIL_ORDER for x in range(n)]
+            for n, pre in zip(_DDS_COUNTS, _DDS_FAIL_PREFACTOR)
+        ]
+        self._repair_rates = [epsilon**order for order in _DDS_REPAIR_ORDER]
 
     @property
     def initial_state(self) -> tuple:
-        if self.strategy == "fcfs":
-            return ()
-        return (0,) * 9
+        return () if self.strategy == "fcfs" else (0,) * 9
 
-    def _counts(self, state: tuple) -> tuple[int, ...]:
+    def _counts(self, state: tuple) -> Sequence[int]:
         if self.strategy != "fcfs":
             return state
         counts = [0] * 9
         for i in state:
             counts[i] += 1
-        return tuple(counts)
+        return counts
 
     def is_goal(self, state: tuple) -> bool:
-        counts = self._counts(state)
-        return any(x >= lim for x, lim in zip(counts, _DDS_DOWN_LIMIT))
+        return any(map(ge, self._counts(state), _DDS_DOWN_LIMIT))
 
     def is_taboo(self, state: tuple) -> bool:
-        if self.strategy == "fcfs":
-            return not state  # the failure list is empty
-        return all(x == 0 for x in state)
+        # FCFS: the failure list is empty
+        return not state if self.strategy == "fcfs" else not any(state)
 
-    def _repairs(self, state: tuple, counts: tuple[int, ...]) -> list[Transition]:
-        eps = self.epsilon
-        strategy = self.strategy
-        if strategy == "fcfs":
-            head = state[0]
-            order = _DDS_REPAIR_ORDER[head]
-            return [Transition(state[1:], eps**order, order)]
-        failed = [i for i, x in enumerate(counts) if x > 0]
-        if strategy == "dedicated":
-            chosen = failed
-        elif strategy == "disk_priority":
-            chosen = [max(failed)]
-        else:  # proc_priority
-            chosen = [min(failed)]
-        out = []
-        for i in chosen:
-            order = _DDS_REPAIR_ORDER[i]
-            target = counts[:i] + (counts[i] - 1,) + counts[i + 1 :]
-            out.append(Transition(target, eps**order, order))
-        return out
-
-    def successors(self, state: tuple) -> list[Transition]:
-        eps = self.epsilon
+    def successors(self, state: tuple) -> tuple[list, list[float], list[int]]:
         counts = self._counts(state)
-        out: list[Transition] = []
-        for i, x in enumerate(counts):
-            working = _DDS_COUNTS[i] - x
-            if working <= 0:
-                continue
-            rate = working * _DDS_FAIL_PREFACTOR[i] * eps**_DDS_FAIL_ORDER
-            if self.strategy == "fcfs":
-                target: tuple = state + (i,)
-            else:
-                target = counts[:i] + (x + 1,) + counts[i + 1 :]
-            out.append(Transition(target, rate, _DDS_FAIL_ORDER))
-        if any(counts):
-            out.extend(self._repairs(state, counts))
-        return out
+        up = [i for i, x in enumerate(counts) if x < _DDS_COUNTS[i]]
+        if self.strategy == "fcfs":
+            down = state[:1]  # the head of the failure list
+            targets = [state + (i,) for i in up]
+            if state:
+                targets.append(state[1:])
+        else:
+            down = [i for i, x in enumerate(counts) if x]
+            if self.strategy == "disk_priority":
+                down = down[-1:]
+            elif self.strategy == "proc_priority":
+                down = down[:1]
+            targets = _moved(counts, up, 1) + _moved(counts, down, -1)
+        weights = [self._fail_rates[i][counts[i]] for i in up]
+        weights += [self._repair_rates[i] for i in down]
+        orders = [_DDS_FAIL_ORDER] * len(up) + [_DDS_REPAIR_ORDER[i] for i in down]
+        return targets, weights, orders
+
+
+def _moved(counts: tuple[int, ...], types: list[int], step: int) -> list[tuple]:
+    """``counts`` with ``step`` added to one type, one tuple per type."""
+    scratch = list(counts)
+    out = []
+    for i in types:
+        scratch[i] += step
+        out.append(tuple(scratch))
+        scratch[i] -= step
+    return out
 
 
 def make_dds(strategy: str = "dedicated", epsilon: float = 0.01) -> DdsModel:

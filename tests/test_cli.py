@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,17 @@ def parse_csv(text):
 
 
 # ---------------------------------------------------------- subcommands
+
+def test_module_runs_from_a_checkout():
+    """``python -m rarepath`` works with only ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rarepath", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "preprocess" in proc.stdout
+
 
 def test_preprocess_reports_graph_summary(capsys):
     code, out, _ = run_cli(

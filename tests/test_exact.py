@@ -6,7 +6,7 @@ import pytest
 
 from rarepath.errors import StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel, Transition
+from rarepath.model import MarkovModel
 from rarepath.preproc import preprocess
 from rarepath.zoo import (
     MulticomponentModel,
@@ -66,8 +66,8 @@ class TwoStateLoop(MarkovModel):
 
     def successors(self, state):
         if state == "a":
-            return [Transition("g", self.p, 1), Transition("b", 1 - self.p, 0)]
-        return [Transition("a", self.q, 0), Transition("t", 1 - self.q, 0)]
+            return ["g", "b"], [self.p, 1 - self.p], [1, 0]
+        return ["a", "t"], [self.q, 1 - self.q], [0, 0]
 
 
 @pytest.mark.parametrize("p,q", [(0.05, 0.5), (0.3, 0.9), (0.5, 0.1)])

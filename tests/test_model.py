@@ -1,5 +1,7 @@
 """Model contract: CTMC embedding, transition resolution, state indexing."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from rarepath.model import (
     TABOO,
     MarkovModel,
     StateIndexer,
-    Transition,
     embedded_row,
 )
 
@@ -35,57 +36,94 @@ class TinyModel(MarkovModel):
 
     def successors(self, state):
         if state == "a":
-            return [
-                Transition("b", 1.0, 0),
-                Transition("g", self.epsilon, 1),
-            ]
-        return [Transition("t", 1.0, 0)]
+            return ["b", "g"], [1.0, self.epsilon], [0, 1]
+        return ["t"], [1.0], [0]
 
 
-def embed(transitions):
-    """``embedded_row`` of a rate model whose state "a" has ``transitions``."""
+def embed_row(targets, weights, orders, emits_rates=True):
+    """``embedded_row`` of a model whose state "a" has this row."""
 
     class OneRow(TinyModel):
         def successors(self, state):
-            return transitions
+            return targets, weights, orders
 
+    OneRow.emits_rates = emits_rates
     return embedded_row(OneRow(), "a")
 
 
+def embed(edges):
+    """``embed_row`` of a rate row given as (target, weight, order) triples."""
+    return embed_row(*([edge[k] for edge in edges] for k in range(3)))
+
+
 def test_embed_normalizes_rates():
-    _targets, probs, orders = embed([Transition("x", 3.0, 0), Transition("y", 1.0, 1)])
+    _targets, probs, orders = embed([("x", 3.0, 0), ("y", 1.0, 1)])
     assert probs == [pytest.approx(0.75), pytest.approx(0.25)]
     assert list(orders) == [0, 1]
 
 
 def test_embed_shifts_orders_to_zero_base():
-    _targets, _probs, orders = embed([Transition("x", 1.0, 2), Transition("y", 1.0, 3)])
+    _targets, _probs, orders = embed([("x", 1.0, 2), ("y", 1.0, 3)])
     assert list(orders) == [0, 1]
 
 
 def test_embed_one_none_order_assigns_every_order():
     """The explicit order 5 gives way to the order of its probability."""
     _targets, _probs, orders = embed(
-        [Transition("x", 1.0, None), Transition("y", 0.01, 5)]
+        [("x", 1.0, None), ("y", 0.01, 5)]
     )
     assert list(orders) == [0, 2]
 
 
 def test_embed_rejects_nonpositive_rate():
     with pytest.raises(ModelError):
-        embed([Transition("x", 0.0, 0)])
+        embed([("x", 0.0, 0)])
     with pytest.raises(ModelError):
-        embed([Transition("x", -1.0, 0)])
+        embed([("x", -1.0, 0)])
 
 
 def test_embed_rejects_negative_order():
     with pytest.raises(ModelError):
-        embed([Transition("x", 1.0, -1)])
+        embed([("x", 1.0, -1)])
 
 
 def test_embed_rejects_empty():
     with pytest.raises(ModelError):
         embed([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("emits_rates", [True, False], ids=["rates", "probs"])
+def test_embed_rejects_non_finite_weight(bad, position, emits_rates):
+    """A min()-based check sees NaN only in first place; the row's sum
+    catches it anywhere."""
+    weights = [0.5, 0.5]
+    weights[position] = bad
+    with pytest.raises(ModelError, match="bad weight"):
+        embed_row(["x", "y"], weights, [0, 0], emits_rates)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(["x", "y"], [1.0], [0, 0]), (["x"], [1.0], [0, 0]), (["x", "y"], [1.0, 1.0], [0])],
+    ids=["weights", "orders-long", "orders-short"],
+)
+def test_embed_rejects_unequal_lengths(row):
+    with pytest.raises(ModelError, match="lengths"):
+        embed_row(*row)
+
+
+def test_embed_rejects_probability_above_one():
+    with pytest.raises(ModelError, match="bad weight 1.5"):
+        embed_row(["x"], [1.5], [0], emits_rates=False)
+
+
+def test_embed_rejects_negative_order_beside_none():
+    with pytest.raises(ModelError, match="negative order"):
+        embed([("x", 1.0, None), ("y", 1.0, -1)])
+    with pytest.raises(ModelError, match="negative order"):
+        embed([("x", 1.0, -1), ("y", 1.0, None)])
 
 
 @given(
@@ -100,7 +138,7 @@ def test_embed_rejects_empty():
 )
 def test_embed_probabilities_sum_to_one_and_min_order_zero(items):
     _targets, probs, orders = embed(
-        [Transition(i, w, r) for i, (w, r) in enumerate(items)]
+        [(i, w, r) for i, (w, r) in enumerate(items)]
     )
     assert sum(probs) == pytest.approx(1.0)
     assert min(orders) == 0
@@ -119,10 +157,7 @@ def test_resolve_merges_terminals_and_embeds():
 def test_resolve_assigns_orders_automatically():
     class AutoModel(TinyModel):
         def successors(self, state):
-            return [
-                Transition("b", 1.0, None),
-                Transition("g", self.epsilon**2, None),
-            ]
+            return ["b", "g"], [1.0, self.epsilon**2], [None, None]
 
     row = merged_row(AutoModel(), "a")
     orders = {t: r for t, _p, r in row}
@@ -135,7 +170,7 @@ def test_resolve_probability_model_validation():
         emits_rates = False
 
         def successors(self, state):
-            return [Transition("b", 0.6, 0)]  # sums to 0.6
+            return ["b"], [0.6], [0]  # sums to 0.6
 
     with pytest.raises(ModelError):
         embedded_row(BadProbModel(), "a")
@@ -144,7 +179,7 @@ def test_resolve_probability_model_validation():
 def test_resolve_rejects_dead_end():
     class DeadEnd(TinyModel):
         def successors(self, state):
-            return []
+            return [], [], []
 
     with pytest.raises(ModelError):
         embedded_row(DeadEnd(), "a")

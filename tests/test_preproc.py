@@ -16,7 +16,7 @@ from rarepath.errors import (
     StateBudgetExceeded,
 )
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel, Transition
+from rarepath.model import MarkovModel
 from rarepath.orders import INFINITY
 from rarepath.preproc import preprocess, solve_exit_distribution
 from rarepath.sampling import ChangeOfMeasure, run_estimator
@@ -122,7 +122,8 @@ class _FrontierCycle(MarkovModel):
         return state == "t"
 
     def successors(self, state):
-        return [Transition(*edge) for edge in self.rows[state]]
+        targets, weights, orders = zip(*self.rows[state])
+        return targets, weights, orders
 
 
 def test_frontier_order_0_cycle_values_solve_exactly():
@@ -338,7 +339,7 @@ class _Unreachable(MarkovModel):
         return state == "t"
 
     def successors(self, state):
-        return [Transition("t", 1.0, 0)]
+        return ["t"], [1.0], [0]
 
 
 def test_unreachable_goal_raises():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rarepath.errors import ConfigError, ConvergenceError
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel, Transition
+from rarepath.model import MarkovModel
 from rarepath.preproc import preprocess
 from rarepath.sampling import (
     ChangeOfMeasure,
@@ -213,8 +213,8 @@ class SinglePath(MarkovModel):
 
     def successors(self, state):
         if state == "s":
-            return [Transition("a", 0.1, 1), Transition("t", 0.9, 0)]
-        return [Transition("g", 0.1, 1), Transition("t", 0.9, 0)]
+            return ["a", "t"], [0.1, 0.9], [1, 0]
+        return ["g", "t"], [0.1, 0.9], [1, 0]
 
 
 def test_step_cap_bounds_every_path():

@@ -1,10 +1,12 @@
 """Benchmark models: contract validation and external reference values."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 
 from rarepath.errors import ConfigError
+from rarepath.preproc import preprocess
 from rarepath.zoo import (
     DDS_STRATEGIES,
     ComponentType,
@@ -18,6 +20,17 @@ from rarepath.zoo import (
 )
 
 from conftest import enumerate_chain, merged_row
+
+
+class Edge(NamedTuple):
+    target: object
+    weight: float
+    order: int
+
+
+def edges(model, state):
+    """The raw row of ``state``, one ``Edge`` per position."""
+    return [Edge(*edge) for edge in zip(*model.successors(state))]
 
 ALL_FACTORIES = [
     pytest.param(lambda: make_birth_death_chain(5, 0.1), id="chain"),
@@ -78,20 +91,20 @@ def test_two_type_goal_and_regeneration():
 def test_deferred_repair_structure():
     """Threshold 2 with group repair: no repair at one failure, reset at two."""
     model = two_type_deferred(epsilon=0.01)
-    targets_10 = {t.target for t in model.successors((1, 0))}
+    targets_10 = {t.target for t in edges(model, (1, 0))}
     assert (0, 0) not in targets_10  # repair deferred
-    targets_20 = {t.target for t in model.successors((2, 0))}
+    targets_20 = {t.target for t in edges(model, (2, 0))}
     assert (0, 0) in targets_20  # group repair resets the type
     # type 2 repairs immediately
-    targets_01 = {t.target for t in model.successors((0, 1))}
+    targets_01 = {t.target for t in edges(model, (0, 1))}
     assert (0, 0) in targets_01
 
 
 def test_unbalanced_spare_failures_are_second_order():
     model = two_type_unbalanced(epsilon=0.01)
-    first = {t.target: t.order for t in model.successors((0, 0))}
+    first = {t.target: t.order for t in edges(model, (0, 0))}
     assert first[(1, 0)] == 1
-    later = {t.target: t.order for t in model.successors((1, 0))}
+    later = {t.target: t.order for t in edges(model, (1, 0))}
     assert later[(2, 0)] == 2  # spare failure, one order rarer
 
 
@@ -127,11 +140,11 @@ def test_dds_failure_condition():
 def test_dds_failure_rates_linear_in_working_components():
     model = make_dds("dedicated", 0.1)
     eps = 0.1
-    raw = {t.target: t.weight for t in model.successors((0,) * 9)}
+    raw = {t.target: t.weight for t in edges(model, (0,) * 9)}
     assert raw[(1,) + (0,) * 8] == pytest.approx(2 * 0.5 * eps**2)
     assert raw[(0, 0, 0, 1, 0, 0, 0, 0, 0)] == pytest.approx(6 / 6 * eps**2)
     one_proc = (1,) + (0,) * 8
-    raw = {t.target: t.weight for t in model.successors(one_proc)}
+    raw = {t.target: t.weight for t in edges(model, one_proc)}
     assert raw[(2,) + (0,) * 8] == pytest.approx(1 * 0.5 * eps**2)
 
 
@@ -142,7 +155,7 @@ def test_dds_repair_strategies():
     ded = make_dds("dedicated", eps)
     repairs = {
         t.target: t.weight
-        for t in ded.successors(failed)
+        for t in edges(ded, failed)
         if sum(t.target) < sum(failed)
     }
     # both units repair in parallel; disks repair at rate eps
@@ -151,14 +164,14 @@ def test_dds_repair_strategies():
 
     disk = make_dds("disk_priority", eps)
     repairs = [
-        t for t in disk.successors(failed) if sum(t.target) < sum(failed)
+        t for t in edges(disk, failed) if sum(t.target) < sum(failed)
     ]
     assert len(repairs) == 1
     assert repairs[0].target == (1, 0, 0, 0, 0, 0, 0, 0, 0)
 
     proc = make_dds("proc_priority", eps)
     repairs = [
-        t for t in proc.successors(failed) if sum(t.target) < sum(failed)
+        t for t in edges(proc, failed) if sum(t.target) < sum(failed)
     ]
     assert len(repairs) == 1
     assert repairs[0].target == (0, 0, 0, 1, 0, 0, 0, 0, 0)
@@ -167,7 +180,7 @@ def test_dds_repair_strategies():
 def test_dds_fcfs_repairs_in_failure_order():
     model = make_dds("fcfs", 0.1)
     state = (3, 0)  # a disk failed first, then a processor
-    repairs = [t for t in model.successors(state) if len(t.target) < 2]
+    repairs = [t for t in edges(model, state) if len(t.target) < 2]
     assert len(repairs) == 1
     assert repairs[0].target == (0,)  # the disk leaves the queue first
     assert repairs[0].weight == pytest.approx(0.1)  # disk repair rate eps
@@ -204,6 +217,26 @@ def test_dds_probability_scales_as_epsilon_squared(dds_oracle):
     assert order == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "strategy,p_delta,lambda_size,gamma_size",
+    [
+        ("fcfs", "0x1.a9969a4a12bcfp-14", 557, 4104),
+        ("dedicated", "0x1.1761fe9c3935cp-16", 172, 370),
+    ],
+)
+def test_dds_preprocessing_pinned(strategy, p_delta, lambda_size, gamma_size):
+    """Bit-exact p_delta and set sizes at eps = 0.01: a change to how rows
+    are built or embedded must not move them."""
+    result = preprocess(make_dds(strategy, 0.01))
+    assert result.p_delta.hex() == p_delta
+    assert (result.lambda_size, result.gamma_size) == (lambda_size, gamma_size)
+
+
+def test_dds_oracle_pinned(dds_oracle):
+    """Bit-exact oracle pi(s) of DDS dedicated at eps = 0.01."""
+    assert dds_oracle("dedicated", 0.01).hex() == "0x1.2c442e08579b0p-16"
+
+
 # ------------------------------------------------------------- registry
 
 def test_registry_builds_each_model():
@@ -227,4 +260,4 @@ def test_explicit_spec_constructor():
     )
     assert model.initial_state == (0, 0)
     assert model.is_goal((2, 0))
-    assert {t.target for t in model.successors((0, 0))} == {(1, 0), (0, 1)}
+    assert {t.target for t in edges(model, (0, 0))} == {(1, 0), (0, 1)}
