@@ -122,8 +122,7 @@ class _FrontierCycle(MarkovModel):
         return state == "t"
 
     def successors(self, state):
-        targets, weights, orders = zip(*self.rows[state])
-        return targets, weights, orders
+        return tuple(zip(*self.rows[state]))
 
 
 def test_frontier_order_0_cycle_values_solve_exactly():

@@ -32,6 +32,7 @@ def edges(model, state):
     """The raw row of ``state``, one ``Edge`` per position."""
     return [Edge(*edge) for edge in zip(*model.successors(state))]
 
+
 ALL_FACTORIES = [
     pytest.param(lambda: make_birth_death_chain(5, 0.1), id="chain"),
     pytest.param(lambda: two_type_basic(3, 3, 1.0, 0.05), id="two-type"),
