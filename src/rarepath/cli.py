@@ -241,7 +241,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
     out = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
-        pi_s, _ = exact_hitting_probability(model, state_cap=cap)
+        try:  # the reduced chain has no order-0 cycles to slow the sweeps
+            result = preprocess(model, state_budget=cap)
+        except GoalUnreachableError:
+            pi_s = 0.0
+        else:
+            pi_s, _ = exact_hitting_probability(model, result, state_cap=cap)
         out.append({"model": args.model, "epsilon": epsilon, "probability": pi_s})
     _write(json.dumps(out, indent=2) + "\n", args.out)
     return 0

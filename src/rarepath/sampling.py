@@ -27,9 +27,11 @@ Estimators
                 the M non-dominant runs only; its variance uses the
                 conditional decomposition Q(Psi) * Var(L | Psi) / N.
 
-Replications are split across deterministic per-worker RNG streams and the
-partial moments are merged in stream order, so results depend only on
-(seed, workers), not on scheduling.
+A ``Sampler`` builds once the constants every path reads and compiles each
+state's step on first visit: one list index, one bisect and one multiply
+per step.  Replications are split across deterministic per-worker RNG
+streams and the partial moments are merged in stream order, so results
+depend only on (seed, workers), not on scheduling.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class PathSample:
     trajectory: list[tuple[int, int, float, float, int]] | None = None
 
 
-#: one state's compiled step: cumulative q, targets, p/q and orders
+#: one state's compiled step (cumulative q, targets, p/q, orders), listed by state
 Step = tuple[array, list[int], array, tuple[int, ...]]
 
 
@@ -178,21 +180,30 @@ class Sampler:
 
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
-    a chain of their own over the model's rows.  Compiles each state's
-    sampling step once per context and grows its chain as paths reach new
-    states, so it is not thread-safe; worker processes get their own copy
-    of the result.
+    a chain of their own over the model's rows.  The constants every path
+    reads are built once per sampler.  Compiles each state's sampling step
+    once per context into a list indexed by state, and grows its chain as
+    paths reach new states, so it is not thread-safe; worker processes get
+    their own copy of the result.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
         self.com = com
-        self.result = com.result
-        self.chain = com.result.chain if com.is_zva else Chain(model)
-        #: compiled steps per state index, one map per context value
-        self._steps: tuple[dict[int, Step], dict[int, Step]] = ({}, {})
+        res = self.result = com.result
+        is_zva = com.is_zva
+        chain = self.chain = res.chain if is_zva else Chain(model)
+        #: compiled steps by state index, one list per context value; None
+        #: (or an index past the end) marks a state not compiled yet
+        self._steps: tuple[list[Step | None], list[Step | None]] = ([], [])
         self._shared: dict[bytes, array] = {}
         #: bfb/igbs: cumulative q per (orders, context), all that q reads
         self._cums: dict[tuple[tuple[int, ...], bool], array] = {}
+        #: what every path reads, unpacked by ``sample`` in one load
+        self._consts = (
+            chain, self._steps, chain.goal_index, chain.taboo_index, is_zva,
+            com.is_igbs, res.lambda_indices if is_zva else frozenset(),
+            res.d_sg if is_zva else None, chain.s_index,
+        )
 
     def _compile(self, idx: int, context: bool) -> Step:
         """The state's sampling step: cumulative q, targets, p/q, orders.
@@ -220,25 +231,29 @@ class Sampler:
         ])
         # rows with equal arrays share one
         ratios = shared.setdefault(ratios.tobytes(), ratios)
-        return self._steps[context].setdefault(idx, (cum, targets, ratios, orders))
+        table = self._steps[context]
+        if len(table) <= idx:  # cover every state the chain has indexed
+            table.extend([None] * (len(self.chain) - len(table)))
+        step = table[idx] = (cum, targets, ratios, orders)
+        return step
 
     def sample(
         self, rng: random.Random, record: bool = False, max_steps: int = 10_000_000
     ) -> PathSample:
-        com, chain, tables = self.com, self.chain, self._steps
-        goal, taboo = chain.goal_index, chain.taboo_index
-        is_zva, igbs = com.is_zva, com.is_igbs
-        lambda_set = com.result.lambda_indices if is_zva else frozenset()
-        d_sg = com.result.d_sg if is_zva else None
+        """One path from s into g or t; ``perfbench`` times each call."""
+        chain, tables, goal, taboo, is_zva, igbs, lambda_set, d_sg, state = self._consts
         draw = rng.random
-        state = chain.s_index
         likelihood, order_sum, left_lambda = 1.0, 0, False
         # igbs starts after no order-0 step, ZVA with importance sampling on
         context = is_zva
         table = tables[context]
         trajectory: list | None = [] if record else None
         for steps in range(1, max_steps + 1):
-            cum, targets, ratios, orders = table.get(state) or self._compile(state, context)
+            try:
+                step = table[state]
+            except IndexError:  # indexed after the table last grew
+                step = None
+            cum, targets, ratios, orders = step or self._compile(state, context)
             i = bisect_right(cum, draw())
             likelihood *= ratios[i]
             order = orders[i]
@@ -309,18 +324,6 @@ class _StreamStats:
     nd_sum1: float = 0.0  # sums over non-dominant runs only
     nd_sum2: float = 0.0
 
-    def add(self, sample: PathSample) -> None:
-        x = sample.likelihood if sample.hit_goal else 0.0
-        self.n += 1
-        self.sum1 += x
-        self.sum2 += x * x
-        if sample.hit_goal:
-            self.hits += 1
-        if not sample.dominant:
-            self.m += 1
-            self.nd_sum1 += x
-            self.nd_sum2 += x * x
-
     def merge(self, other: "_StreamStats") -> None:
         self.n += other.n
         self.sum1 += other.sum1
@@ -353,12 +356,6 @@ class Estimate:
         return self.ci_half_width / self.mean
 
 
-def _stream_seed(seed: int, worker: int) -> random.Random:
-    # string seeding hashes with SHA-512 internally: stable across runs
-    # and processes, unlike tuple seeding (deprecated)
-    return random.Random(f"{seed}:{worker}")
-
-
 def _run_stream(
     model: MarkovModel,
     com: ChangeOfMeasure,
@@ -367,14 +364,26 @@ def _run_stream(
     worker: int,
     deadline: float | None = None,
 ) -> _StreamStats:
-    sampler = Sampler(model, com)
-    rng = _stream_seed(seed, worker)
-    stats = _StreamStats()
+    sample = Sampler(model, com).sample
+    # string seeding hashes with SHA-512 internally: stable across runs
+    # and processes, unlike tuple seeding (deprecated)
+    rng = random.Random(f"{seed}:{worker}")
+    count = hits = m = 0
+    sum1 = sum2 = nd_sum1 = nd_sum2 = 0.0
     for _ in range(n):
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        stats.add(sampler.sample(rng))
-    return stats
+        path = sample(rng)
+        x = path.likelihood if path.hit_goal else 0.0
+        count += 1
+        sum1 += x
+        sum2 += x * x
+        hits += path.hit_goal
+        if not path.dominant:
+            m += 1
+            nd_sum1 += x
+            nd_sum2 += x * x
+    return _StreamStats(count, sum1, sum2, hits, m, nd_sum1, nd_sum2)
 
 
 def run_estimator(

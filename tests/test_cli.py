@@ -9,8 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import dense_hitting_probability
 
+from rarepath import cli, exact
 from rarepath.cli import main
+from rarepath.model import MarkovModel
+from rarepath.zoo import two_type_unbalanced
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +62,49 @@ def test_exact_matches_closed_form(capsys):
     assert entry["probability"] == pytest.approx(
         (1.0 - rho) / (1.0 - rho**5), rel=1e-9
     )
+
+
+def test_exact_solves_the_reduced_chain(capsys, monkeypatch):
+    """The full chain's order-0 cycle takes ~20k sweeps at this epsilon;
+    the reduced chain gives the dense solve's value in a few."""
+    monkeypatch.setattr(exact, "MAX_SWEEPS", 100)
+    code, out, _ = run_cli(
+        capsys, "exact", "--model", "two-type-unbalanced", "--epsilon", "0.001"
+    )
+    assert code == 0
+    (entry,) = json.loads(out)
+    model = two_type_unbalanced(epsilon=0.001)
+    reference = dense_hitting_probability(model)[model.initial_state]
+    assert entry["probability"] == pytest.approx(reference, rel=1e-9)
+
+
+def test_exact_unreachable_goal_prints_zero(capsys, monkeypatch):
+    class Unreachable(MarkovModel):
+        emits_rates = False
+        initial_state = "a"
+
+        def is_goal(self, state):
+            return state == "g"
+
+        def is_taboo(self, state):
+            return state == "t"
+
+        def successors(self, state):
+            return ["t"], [1.0], [0]
+
+    monkeypatch.setattr(cli, "build_model", lambda *args: Unreachable())
+    code, out, _ = run_cli(capsys, "exact", "--model", "chain", "--epsilon", "0.1")
+    assert code == 0
+    assert json.loads(out)[0]["probability"] == 0.0
+
+
+def test_exact_budget_caps_states(capsys):
+    code, _out, err = run_cli(
+        capsys, "exact", "--model", "two-type-unbalanced", "--epsilon", "0.001",
+        "--budget", "10",
+    )
+    assert code == 3
+    assert "states" in err
 
 
 def test_estimate_emits_csv_schema(capsys):

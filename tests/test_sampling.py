@@ -25,6 +25,7 @@ from rarepath.sampling import (
 from rarepath.zoo import (
     DdsModel,
     make_birth_death_chain,
+    make_dds,
     two_type_basic,
     two_type_deferred,
 )
@@ -386,6 +387,27 @@ def test_seeded_estimates_are_pinned(deferred_result, kind, variant, workers):
     hw = None if est.ci_half_width is None else est.ci_half_width.hex()
     got = (est.mean.hex(), hw, est.n_hits, est.n_nondominant)
     assert got == PINNED[kind, variant, workers]
+
+
+#: measure -> float.hex of mean and CI half-width, hits and non-dominant
+#: runs of 2000 plain runs at seed 0 on make_dds("fcfs", 0.01): its paths
+#: step into states first indexed mid-path, past the end of the sampler's
+#: step tables
+PINNED_FCFS = {
+    "bfb": ("0x1.336296c8a1011p-13", "0x1.bf9242937910cp-15", 411, 2000),
+    "igbs": ("0x1.0c03207220854p-15", "0x1.90fde65e4c5dbp-15", 2, 2000),
+    "zva-delta": ("0x1.14e49cdbced17p-13", "0x1.b336b186028a0p-18", 1826, 353),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_FCFS))
+def test_fcfs_estimates_are_pinned(kind):
+    model = make_dds("fcfs", 0.01)
+    result = preprocess(model) if kind == "zva-delta" else None
+    com = ChangeOfMeasure(kind, result=result, epsilon=model.epsilon)
+    est = run_estimator(model, com, n_runs=2000, seed=0, workers=1)
+    got = (est.mean.hex(), est.ci_half_width.hex(), est.n_hits, est.n_nondominant)
+    assert got == PINNED_FCFS[kind]
 
 
 # ----------------------------------------------------------- statistics
