@@ -36,11 +36,16 @@ def exact_hitting_probability(
 ) -> tuple[float, dict[Any, float]]:
     """Probability of reaching the goal before the taboo state.
 
-    Returns (pi(s), pi for every reachable non-terminal state).  States are
-    enumerated through a ``Chain``: the model's own, or the preprocessing
-    result's to solve over the reduced chain instead (growing that chain);
-    cycle removal must leave hitting probabilities unchanged, which the
-    test suite checks against this oracle.
+    Returns (pi(s), pi for every non-terminal state of the chain).  States
+    are enumerated through a ``Chain``: the model's own, or the
+    preprocessing result's to solve over the reduced chain instead
+    (growing that chain); cycle removal must leave hitting probabilities
+    unchanged, which the test suite checks against this oracle.
+
+    Matrix row i is chain index i: the indices are walked upward while
+    ``chain.row`` appends the states each row discovers (breadth-first
+    from s on the model's own chain); g and t keep identity rows with
+    b = 0 and are left out of the returned map.
 
     The sweeps stop once, in every component i, the step is small relative
     to the solution, |x_new - x|_i <= TOL * |x|_i (components at zero stay
@@ -51,42 +56,34 @@ def exact_hitting_probability(
     """
     chain = result.chain if result is not None else Chain(model)
     goal, taboo = chain.goal_index, chain.taboo_index
-    # matrix positions in breadth-first order from s
-    order = [chain.s_index]
-    pos = {chain.s_index: 0}
     # typed arrays hold the entries without a Python object each
     b, data, ri, ci = array("d"), array("d"), array("q"), array("q")
-    for i, y in enumerate(order):
-        targets, probs, _orders = chain.row(y)
+    i = 0
+    while i < len(chain):
         diag = 1.0
         bi = 0.0
-        for z, p in zip(targets, probs):
-            if z == goal:
-                bi += p
-            elif z == taboo:
-                continue
-            else:
-                j = pos.get(z)
-                if j is None:
-                    j = len(order)
-                    if j >= state_cap:
-                        raise StateBudgetExceeded(
-                            f"more than {state_cap} reachable states"
-                        )
-                    pos[z] = j
-                    order.append(z)
-                if j == i:
+        if i != goal and i != taboo:
+            targets, probs, _orders = chain.row(i)
+            if len(chain) - 2 > state_cap:  # g and t take two indices
+                raise StateBudgetExceeded(f"more than {state_cap} reachable states")
+            for z, p in zip(targets, probs):
+                if z == goal:
+                    bi += p
+                elif z == taboo:
+                    continue
+                elif z == i:
                     diag -= p
                 else:
                     data.append(-p)
                     ri.append(i)
-                    ci.append(j)
+                    ci.append(z)
         data.append(diag)
         ri.append(i)
         ci.append(i)
         b.append(bi)
+        i += 1
 
-    n = len(order)
+    n = len(chain)
     b = np.frombuffer(b)
     rows, cols = np.frombuffer(ri, np.int64), np.frombuffer(ci, np.int64)
     a = csr_matrix((np.frombuffer(data), (rows, cols)), shape=(n, n))
@@ -107,5 +104,6 @@ def exact_hitting_probability(
             break
     else:
         raise ConvergenceError("hitting-probability solve did not converge")
-    pi = {chain.indexer.state(z): float(x[i]) for i, z in enumerate(order)}
-    return float(x[0]), pi
+    state = chain.indexer.state
+    pi = {state(i): float(x[i]) for i in range(n) if i != goal and i != taboo}
+    return float(x[chain.s_index]), pi

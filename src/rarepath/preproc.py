@@ -15,13 +15,16 @@ Three phases over the implicitly defined chain:
   (never expanded), so every state that can reach g keeps a positive value
   and paths leaving Lambda are never starved of sampling mass.
 
-All tie-breaking is by state discovery order, so results are deterministic.
+Every phase visits states in an order fixed by their discovery indices
+and row positions, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -81,7 +84,7 @@ def solve_exit_distribution(
         raise ConvergenceError(f"exit-distribution solve failed: {exc}") from None
     mu = {x: {z: float(m[pos[x], exit_pos[z]]) for z in exits} for x in members}
     for x in members:
-        total = sum(mu[x].values())
+        total = reduce(add, mu[x].values(), 0.0)
         # the system gets ill-conditioned as the exit mass shrinks (cond
         # ~ 1/p_exit), so allow a commensurate residual and renormalize
         if abs(total - 1.0) > 1e-6:
@@ -232,6 +235,7 @@ class BackwardResult:
     d_backward: dict[int, Order]
     v_delta: dict[int, float]
     processing_order: tuple[int, ...]
+    dominant_edges: dict[int, list[int]]
 
 
 def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
@@ -247,12 +251,14 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
         v(x) = sum of p(x, z) * v(z) over successors z
                with order(x, z) + d(z, g) = d(x, g).
 
-    States are processed in increasing d(., g); ties are resolved in
-    topological order of the order-0 edges (successors first), remaining
-    ties by discovery index.  Cycle removal left no order-0 cycle inside
-    Lambda, but frontier states may still form one; the values of the
-    states caught in or behind such a cycle solve the linear system above.
-    States that cannot reach g get v = 0.
+    Each state's dominant edges are kept as row positions
+    (``dominant_edges``), and v is evaluated in one topological pass over
+    them from g: a state follows once its last dominant successor is done
+    (``processing_order``).  Cycle removal left no order-0 cycle inside
+    Lambda, but frontier states may still form one; the pass never reaches
+    the states caught in or behind such a cycle, whose values solve the
+    linear system above in one call.  States that cannot reach g come
+    last, with v = 0.
     """
     goal = chain.goal_index
     taboo = chain.taboo_index
@@ -294,56 +300,47 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
                 db[z] = nd
                 heapq.heappush(heap, (nd, z))
 
-    def dominant(x: int) -> list[tuple[int, float]]:
+    # each state's dominant edges, and per target the states waiting on it
+    dominant: dict[int, list[int]] = {}
+    waiting: dict[int, list[int]] = {}
+    pending: dict[int, int] = {}  # dominant edges into states not done yet
+    for x, row in out_edges.items():
         dx = db[x]
-        return [(z, p) for z, p, r in out_edges.get(x, ()) if r + db[z] == dx]
-
-    v: dict[int, float] = {goal: 1.0, taboo: 0.0}
-    order: list[int] = []
-    groups: dict[Order, list[int]] = {}
-    for x in nodes:
-        groups.setdefault(db[x], []).append(x)
-    for dval in sorted(groups):
-        group = sorted(groups[dval])
-        if dval == INFINITY:
-            order.extend(group)
-            v.update(dict.fromkeys(group, 0.0))
+        if dx == INFINITY:
             continue
-        members = set(group)
-        pending: dict[int, int] = {}
-        rev0: dict[int, list[int]] = {x: [] for x in group}
-        for x in group:
-            n = 0
-            for z, _p, r in out_edges.get(x, ()):
-                if r == 0 and z in members:
-                    n += 1
-                    rev0[z].append(x)
-            pending[x] = n
-        ready = [x for x in group if pending[x] == 0]
-        heapq.heapify(ready)
-        while ready:
-            x = heapq.heappop(ready)
-            order.append(x)
-            if x != goal:
-                v[x] = sum(p * v[z] for z, p in dominant(x))
-            for z in rev0[x]:
-                pending[z] -= 1
-                if pending[z] == 0:
-                    heapq.heappush(ready, z)
-        rest = [x for x in group if x not in v]
-        if rest:
-            order.extend(rest)
-            v.update(_solve_cyclic_values(rest, dominant, v))
-    return BackwardResult(frozenset(gamma), db, v, tuple(order))
+        dominant[x] = edges = [i for i, (z, _p, r) in enumerate(row) if r + db[z] == dx]
+        later = [row[i][0] for i in edges if row[i][0] != goal]  # g is done first
+        pending[x] = len(later)
+        for z in later:
+            waiting.setdefault(z, []).append(x)
+    v: dict[int, float] = {goal: 1.0, taboo: 0.0}
+    done = [x for x, n in pending.items() if not n]
+    for x in done:
+        row = out_edges[x]
+        v[x] = reduce(add, [row[i][1] * v[row[i][0]] for i in dominant[x]], 0.0)
+        for y in waiting.get(x, ()):
+            pending[y] -= 1
+            if not pending[y]:
+                done.append(y)
+    rest = [x for x in dominant if x not in v]
+    if rest:
+        v.update(_solve_cyclic_values(rest, out_edges, dominant, v))
+    unreachable = sorted(x for x in nodes if db[x] == INFINITY)
+    v.update(dict.fromkeys(unreachable, 0.0))
+    order = (goal, *done, *rest, *unreachable)
+    return BackwardResult(frozenset(gamma), db, v, order, dominant)
 
 
-def _solve_cyclic_values(rest, dominant, known: Mapping[int, float]) -> dict[int, float]:
+def _solve_cyclic_values(
+    rest, out_edges, dominant, known: Mapping[int, float]
+) -> dict[int, float]:
     """Dominant-path mass of states in or behind order-0 cycles.
 
     Solves (I - P) v = b over ``rest``, where P holds the dominant edges
-    among ``rest`` and b collects the dominant edges into states whose
-    values are ``known``.  Every such state has a dominant path out of
-    ``rest``, so I - P is non-singular.
+    (``dominant`` positions in ``out_edges``) among ``rest`` and b
+    collects the dominant edges into states whose values are ``known``.
+    Every such state has a dominant path out of ``rest``, so I - P is
+    non-singular.
     """
     pos = {x: i for i, x in enumerate(rest)}
     n = len(rest)
@@ -351,7 +348,8 @@ def _solve_cyclic_values(rest, dominant, known: Mapping[int, float]) -> dict[int
     data, ri, ci = [1.0] * n, list(range(n)), list(range(n))
     for x in rest:
         i = pos[x]
-        for z, p in dominant(x):
+        for k in dominant[x]:
+            z, p, _r = out_edges[x][k]
             j = pos.get(z)
             if j is None:
                 b[i] += p * known[z]
@@ -383,6 +381,9 @@ class PreprocessResult:
     d_backward: dict[int, Order]
     v_delta: dict[int, float]
     processing_order: tuple[int, ...]
+    #: row positions of the dominant edges of every state with a finite
+    #: d(., g); a frontier state's target beyond Lambda + Gamma reads as g
+    dominant_edges: dict[int, list[int]]
     hpc_count: int
     states_discovered: int
     wall_time_ms: float
@@ -472,6 +473,7 @@ def preprocess(
         d_backward=bwd.d_backward,
         v_delta=bwd.v_delta,
         processing_order=bwd.processing_order,
+        dominant_edges=bwd.dominant_edges,
         hpc_count=fwd.hpc_count,
         states_discovered=states_discovered,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,

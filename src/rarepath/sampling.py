@@ -4,9 +4,10 @@ Measures
 --------
 * ``mc``: plain Monte Carlo (original chain).
 * ``bfb``: balanced failure biasing; failure transitions (order > 0) share
-  probability p, repairs (order 0) share 1 - p, each uniformly.
+  probability p = FAILURE_SHARE, repairs (order 0) share 1 - p, each
+  uniformly.
 * ``igbs``: interval-guided balanced sampling; as bfb, but after an
-  order-0 step the failure share drops to delta (< p), which keeps
+  order-0 step the failure share drops to IGBS_DELTA (< p), which keeps
   high-probability cycles from soaking up sampling budget.
 * ``zva-dbar``: zero-variance approximation with v(x) = eps**d(x, g).
 * ``zva-delta``: zero-variance approximation with v(x) = the dominant-path
@@ -43,8 +44,9 @@ from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
@@ -58,6 +60,10 @@ _TINY = math.ulp(0.0)  # smallest positive float
 MEASURES = ("mc", "bfb", "igbs", "zva-dbar", "zva-delta")
 ZVA_MEASURES = ("zva-dbar", "zva-delta")
 VARIANTS = ("plain", "plus", "plusplus")
+#: bfb/igbs: probability share of the failure transitions
+FAILURE_SHARE = 0.5
+#: igbs: the failure share after an order-0 step
+IGBS_DELTA = 1.0 / 100.0
 
 
 @dataclass(frozen=True)
@@ -66,17 +72,11 @@ class ChangeOfMeasure:
 
     kind: str
     result: PreprocessResult | None = None
-    p: float = 0.5
-    delta: float = 1.0 / 100.0
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MEASURES:
             raise ConfigError(f"unknown measure {self.kind!r}")
-        if self.kind in ("bfb", "igbs") and not 0.0 < self.p < 1.0:
-            raise ConfigError("bfb/igbs need 0 < p < 1")
-        if self.is_igbs and not 0.0 < self.delta < self.p:
-            raise ConfigError("igbs needs 0 < delta < p")
         if self.is_zva:
             if self.result is None:
                 raise ConfigError(f"{self.kind} requires preprocessing output")
@@ -113,7 +113,7 @@ class ChangeOfMeasure:
         """
         targets, probs, orders = row
         if self.kind in ("bfb", "igbs"):
-            return _bfb_distribution(orders, self.delta if context else self.p)
+            return _bfb_distribution(orders, IGBS_DELTA if context else FAILURE_SHARE)
         if context and self.is_zva:
             values = self.values
             q = zva_distribution(probs, [values.get(z, 0.0) for z in targets])
@@ -166,11 +166,12 @@ def zva_distribution(
     if not any(support):
         return None
     weights = [p * v for p, v in zip(probs, values)]
-    total = sum(weights)
+    # summed left to right, as in model.embedded_row
+    total = reduce(add, weights, 0.0)
     q = [w / total if total > 0.0 else 0.0 for w in weights]
     if any(live and qi == 0.0 for live, qi in zip(support, q)):
         q = [max(qi, _TINY) if live else 0.0 for live, qi in zip(support, q)]
-        norm = sum(q)
+        norm = reduce(add, q, 0.0)
         q = [qi / norm for qi in q]
     return q
 
@@ -283,32 +284,22 @@ class Sampler:
 def compute_q_delta(com: ChangeOfMeasure) -> float:
     """Probability that a sampled path is dominant, under the measure.
 
-    Dynamic program mirroring the backward phase: w(g) = 1 and
-
-        w(x) = sum of q(x, z) * w(z) over successors z
-               with order(x, z) + d(z, g) = d(x, g),
-
-    evaluated over Lambda in backward processing order; returns w(s).  A
-    dominant path from s has order d(s, g) in total, so it never leaves
-    Lambda, and w = 0 everywhere else.
+    The backward phase's recursion for v with q in place of p: w(g) = 1
+    and w(x) sums q(x, z) * w(z) over the dominant edges (x, z) that
+    preprocessing kept, evaluated over Lambda in backward processing
+    order; returns w(s).  A dominant path from s has order d(s, g) in
+    total, so it never leaves Lambda, and w = 0 everywhere else.
     """
     if not com.is_zva:
         raise ConfigError("dominance probability requires a ZVA measure")
     res = com.result
-    chain = res.chain
-    db = res.d_backward
-    w: dict[int, float] = {res.goal_index: 1.0, res.taboo_index: 0.0}
+    dominant = res.dominant_edges
+    w: dict[int, float] = {res.goal_index: 1.0}
     for x in res.processing_order:
-        if x not in res.lambda_indices or chain.is_terminal(x):
-            continue
-        row = chain.row(x)
-        targets, _probs, orders = row
-        dx = db.get(x, INFINITY)
-        total = 0.0
-        for z, r, qi in zip(targets, orders, com.distribution(row, True)):
-            if r + db.get(z, INFINITY) == dx:
-                total += qi * w.get(z, 0.0)
-        w[x] = total
+        if x in res.lambda_indices and x in dominant:
+            row = res.chain.row(x)
+            q, targets = com.distribution(row, True), row[0]
+            w[x] = reduce(add, [q[i] * w.get(targets[i], 0.0) for i in dominant[x]], 0.0)
     return w.get(res.s_index, 0.0)
 
 
@@ -408,6 +399,9 @@ def run_estimator(
         raise ConfigError(f"variant {variant!r} requires a ZVA measure")
     if (n_runs is None) == (time_budget_ms is None):
         raise ConfigError("give exactly one of n_runs and time_budget_ms")
+    # a NaN deadline is never reached
+    if time_budget_ms is not None and not 0.0 < time_budget_ms < math.inf:
+        raise ConfigError(f"time budget must be finite and positive: {time_budget_ms}")
     t0 = time.perf_counter()
     total = _StreamStats()
     if time_budget_ms is not None:

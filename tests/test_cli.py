@@ -327,6 +327,16 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, argv, conf, option
     assert option in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-5"])
+def test_time_budget_that_never_expires_is_a_config_error(capsys, budget):
+    code, _out, err = run_cli(
+        capsys, "estimate", "--model", "chain", "--epsilon", "0.1",
+        "--time-budget", budget,
+    )
+    assert code == 2
+    assert "time budget" in err
+
+
 def test_state_budget_exhaustion_exit_code(capsys):
     code, _out, err = run_cli(
         capsys,

@@ -6,7 +6,7 @@ import pytest
 
 from rarepath.errors import StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel
+from rarepath.model import GOAL, TABOO, MarkovModel
 from rarepath.preproc import preprocess
 from rarepath.zoo import (
     MulticomponentModel,
@@ -15,7 +15,7 @@ from rarepath.zoo import (
     two_type_deferred,
 )
 
-from conftest import dense_hitting_probability
+from conftest import dense_hitting_probability, enumerate_chain
 
 
 def ruin_probability(levels: int, epsilon: float, k: int = 1) -> float:
@@ -112,6 +112,28 @@ def test_reduced_chain_option_uses_replacement_rows():
     pi_s, _ = exact_hitting_probability(model, result)
     reference = dense_hitting_probability(model, result)
     assert pi_s == pytest.approx(reference[model.initial_state], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "factory, size",
+    [
+        pytest.param(lambda: make_birth_death_chain(5, 0.1), 5, id="chain"),
+        pytest.param(lambda: two_type_deferred(epsilon=0.01), 10, id="deferred"),
+        pytest.param(lambda: two_type_basic(20, 20, 1.0, 0.1), 400, id="two-type-20"),
+    ],
+)
+def test_map_holds_every_reachable_non_terminal_state(factory, size):
+    """g and t have matrix rows but no entry in the returned map."""
+    model = factory()
+    _pi_s, pi = exact_hitting_probability(model)
+    assert GOAL not in pi and TABOO not in pi
+    assert len(pi) == size
+    assert set(pi) == set(enumerate_chain(model))
+    # the reduced chain's map also holds the states its preprocessing indexed
+    result = preprocess(model)
+    _pi_s, reduced = exact_hitting_probability(model, result)
+    assert GOAL not in reduced and TABOO not in reduced
+    assert set(reduced) >= set(enumerate_chain(model, result))
 
 
 def test_state_cap_enforced():

@@ -290,6 +290,48 @@ def test_processing_order_covers_relevant_set():
         assert idx in seen
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [*ALL_MODELS, pytest.param(_FrontierCycle, id="frontier-cycle")],
+)
+def test_processing_order_is_topological(factory):
+    """Every state with a finite d(., g) follows all of its dominant
+    successors, except the states in or behind an order-0 cycle of
+    dominant edges, which are solved together."""
+    result = preprocess(factory())
+    chain, db, lam = result.chain, result.d_backward, result.lambda_indices
+    inner = lam | result.gamma_indices
+    successors = {}
+    for x in inner:
+        if chain.is_terminal(x) or db[x] == INFINITY:
+            continue
+        row = list(chain.edges(x)) if x in lam else chain.folded_edges(x, inner)
+        edges = [i for i, (z, _p, r) in enumerate(row) if r + db[z] == db[x]]
+        assert result.dominant_edges[x] == edges, result.indexer.state(x)
+        successors[x] = {row[i][0] for i in edges}
+    assert len(result.dominant_edges) == len(successors)
+
+    def reach(x):
+        seen, stack = set(), list(successors.get(x, ()))
+        while stack:
+            z = stack.pop()
+            if z not in seen:
+                seen.add(z)
+                stack.extend(successors.get(z, ()))
+        return seen
+
+    reachable = {x: reach(x) for x in successors}
+    on_cycle = {x for x, seen in reachable.items() if x in seen}
+    cyclic = {x for x, seen in reachable.items() if seen & on_cycle}
+    position = {x: k for k, x in enumerate(result.processing_order)}
+    assert len(position) == len(result.processing_order)
+    for x in set(successors) - cyclic:
+        for z in successors[x]:
+            assert position[z] < position[x], result.indexer.state(x)
+    if factory is _FrontierCycle:
+        assert {result.indexer.state(x) for x in cyclic} == {"b", "c", "d"}
+
+
 def test_report_fields():
     result = preprocess(make_birth_death_chain(5, 0.1))
     rep = result.report()
