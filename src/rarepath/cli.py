@@ -284,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="wall-clock budget in milliseconds (instead of --runs)",
             )
             p.add_argument("--seed", help="master RNG seed")
-            p.add_argument("--workers", help="number of RNG streams/workers")
+            p.add_argument(
+                "--workers", help="number of RNG streams/workers (1 with --time-budget)"
+            )
             p.add_argument("--format", choices=("csv", "md"))
 
     p_pre = sub.add_parser("preprocess", help="graph preprocessing report")

@@ -25,7 +25,7 @@ from array import array
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Sequence
 
 from rarepath.errors import ModelError, StateBudgetExceeded
 from rarepath.orders import assign_order
@@ -174,9 +174,12 @@ class Chain:
     because the goal boundary can be as large as the state space and each
     goal state is usually entered from a single state.
 
-    ``row`` classifies every target of a row; ``fetch`` and ``target`` let
-    a sampler classify only the targets it steps to, so the states next to
-    its path cost neither indices nor predicate calls.
+    A row is one format everywhere (``Row``): target indices, probabilities
+    and orders, position by position.  ``row`` classifies every target of
+    a row; ``fetch`` and ``target`` let a sampler classify only the targets
+    it steps to, so the states next to its path cost neither indices nor
+    predicate calls; ``folded_row`` gives a frontier state's row without
+    indexing its targets.
 
     The initial state is indexed as a regular node even when its
     descriptor satisfies the goal or taboo predicate (regenerative models
@@ -200,7 +203,8 @@ class Chain:
         )
         #: one tuple per distinct order vector, shared by the rows
         self._orders: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.overrides: dict[int, tuple[tuple[int, float, int], ...]] = {}
+        #: rows set by cycle removal, the same objects as in ``_rows``
+        self.overrides: dict[int, Row] = {}
         self._rows: dict[int, Row] = {}
         #: target descriptors of the fetched rows with UNSEEN targets
         self._unseen: dict[int, Sequence[State]] = {}
@@ -275,19 +279,15 @@ class Chain:
                     targets[i] = self._classify(states[i])
         return row
 
-    def edges(self, idx: int) -> Iterator[tuple[int, float, int]]:
-        """The row of ``idx`` as (target, probability, order) triples."""
-        return zip(*self.row(idx))
+    def folded_row(self, idx: int, inner: frozenset[int]) -> Row:
+        """The row of ``idx`` with every target outside ``inner`` folded into g.
 
-    def folded_edges(
-        self, idx: int, inner: frozenset[int]
-    ) -> tuple[tuple[int, float, int], ...]:
-        """Edges of ``idx`` with every target outside ``inner`` folded into g.
-
-        A folded edge keeps its probability and order; taboo targets stay
-        apart from g.  A target not classified yet stays so: a folded edge
-        needs only the taboo predicate (and the goal predicate for a taboo
-        target).  The fetched row is kept for later use.
+        Only the target list is new: the probabilities and orders are the
+        fetched row's own, so a folded edge keeps its probability and
+        order.  Taboo targets stay apart from g.  A target not classified
+        yet stays so: a folded edge needs only the taboo predicate (and the
+        goal predicate for a taboo target).  The fetched row is kept for
+        later use.
         """
         fresh = idx not in self._rows
         targets, probs, orders = self.fetch(idx)
@@ -302,13 +302,10 @@ class Chain:
                 else taboo if model.is_taboo(t) and not model.is_goal(t) else goal
                 for z, y, t in zip(targets, known, states)
             ]
-        return tuple(
-            (z if z in inner or z == taboo else goal, p, r)
-            for z, p, r in zip(targets, probs, orders)
-        )
+        folded = [z if z in inner or z == taboo else goal for z in targets]
+        return folded, probs, orders
 
-    def set_override(self, idx: int, edges: Iterable[tuple[int, float, int]]) -> None:
-        edges = self.overrides[idx] = tuple(edges)
+    def set_override(self, idx: int, row: Row) -> None:
+        """Replace the row of ``idx`` (cycle removal); ``overrides`` keeps it."""
+        self._rows[idx] = self.overrides[idx] = row
         self._unseen.pop(idx, None)
-        targets, probs, orders = zip(*edges)
-        self._rows[idx] = (list(targets), array("d", probs), orders)

@@ -1,18 +1,20 @@
 """Graph-based preprocessing for the importance-sampling measure.
 
-Three phases over the implicitly defined chain:
+Two phases over the implicitly defined chain, which read and write its
+rows in one format (``model.Row``):
 
 * forward phase: Dijkstra-like search over rarity orders from the initial
   state s; yields d(s, x) and the relevant set Lambda = {x : d(s,x) <=
-  d(s,g)}.  Whenever an order-0 cycle (a "high-probability cycle", HPC) is
-  found inside Lambda, it is removed by redistributing each member's
-  outgoing probability over the cycle's exit states, which preserves all
-  hitting probabilities while eliminating zero-order cycles.
+  d(s,g)}.  Cycle removal (``loop_detect``) runs inside this phase:
+  whenever an order-0 cycle (a "high-probability cycle", HPC) is found
+  inside Lambda, each member's row is replaced by its distribution over
+  the cycle's exit states, which preserves all hitting probabilities
+  while eliminating zero-order cycles.
 * backward phase: computes d(x, g) and v(x), the total probability of the
   dominant (minimal-order) paths from x to g, over Lambda plus its direct
   frontier Gamma.  Frontier states are resolved with their own rows;
   only the states one step beyond Lambda + Gamma are treated as reaching g
-  (never expanded), so every state that can reach g keeps a positive value
+  (never expanded or indexed), so every state that can reach g keeps a positive value
   and paths leaving Lambda are never starved of sampling mass.
 
 Every phase visits states in an order fixed by their discovery indices
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from functools import reduce
 from operator import add
 
@@ -33,31 +36,20 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from rarepath.errors import ConvergenceError, GoalUnreachableError, ModelError
-from rarepath.model import Chain, MarkovModel, StateIndexer
+from rarepath.model import Chain, MarkovModel, Row
 from rarepath.orders import INFINITY, Order
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
-#: a resolved transition: (target index, probability, order)
-Edge = tuple[int, float, int]
-
-
-@dataclass
-class ForwardResult:
-    d_forward: dict[int, Order]
-    lambda_set: frozenset[int]
-    hpc_count: int
-
 
 def solve_exit_distribution(
-    internal: Mapping[int, list[tuple[int, float]]],
-    direct: Mapping[int, list[tuple[int, float]]],
-    members: list[int],
-    exits: list[int],
+    rows: Mapping[int, Row], members: list[int], exits: list[int]
 ) -> dict[int, dict[int, float]]:
     """Eventual exit probabilities of an order-0 cycle.
 
-    For every cycle member x and exit state z, solves the absorbing system
+    ``rows`` holds every member's row; a target that is a member is
+    internal, any other must be one of ``exits``.  For every cycle member
+    x and exit state z, solves the absorbing system
 
         mu[x][z] = p(x, z) + sum over members x2 of p(x, x2) * mu[x2][z]
 
@@ -74,10 +66,13 @@ def solve_exit_distribution(
     exit_pos = {z: j for j, z in enumerate(exits)}
     for x in members:
         i = pos[x]
-        for x2, p in internal[x]:
-            a[i, pos[x2]] -= p
-        for z, p in direct[x]:
-            d[i, exit_pos[z]] += p
+        targets, probs, _orders = rows[x]
+        for z, p in zip(targets, probs):
+            j = pos.get(z)
+            if j is not None:
+                a[i, j] -= p
+            else:
+                d[i, exit_pos[z]] += p
     try:
         m = np.linalg.solve(a, d)
     except np.linalg.LinAlgError as exc:
@@ -112,7 +107,8 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
         x = stack.pop()
         if chain.is_terminal(x):
             continue
-        for z, _p, r in chain.edges(x):
+        targets, _probs, orders = chain.row(x)
+        for z, r in zip(targets, orders):
             if r == 0 and z not in closure:
                 closure.add(z)
                 stack.append(z)
@@ -121,7 +117,8 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
     for x in closure:
         if chain.is_terminal(x):
             continue
-        for z, _p, r in chain.edges(x):
+        targets, _probs, orders = chain.row(x)
+        for z, r in zip(targets, orders):
             if r == 0 and z in closure:
                 rev[z].append(x)
     members_set = {trigger}
@@ -134,41 +131,35 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
                 stack.append(z)
     members = sorted(members_set)
     if len(members) == 1:
-        has_self_loop = any(
-            z == trigger and r == 0 for z, _p, r in chain.edges(trigger)
-        )
-        if not has_self_loop:
+        targets, _probs, orders = chain.row(trigger)
+        if (trigger, 0) not in zip(targets, orders):
             return None
-    internal: dict[int, list[tuple[int, float]]] = {}
-    direct: dict[int, list[tuple[int, float]]] = {}
+    rows = {x: chain.row(x) for x in members}
     exit_order: dict[int, int] = {}
-    for x in members:
-        internal[x] = []
-        direct[x] = []
-        for z, p, r in chain.edges(x):
-            if z in members_set:
-                internal[x].append((z, p))
-            else:
-                direct[x].append((z, p))
-                prev = exit_order.get(z)
-                if prev is None or r < prev:
-                    exit_order[z] = r
+    for targets, _probs, orders in rows.values():
+        for z, r in zip(targets, orders):
+            if z not in members_set and r < exit_order.get(z, INFINITY):
+                exit_order[z] = r
     if not exit_order:
         raise ModelError("order-0 cycle with no exit transitions")
     exits = sorted(exit_order)
     base = min(exit_order.values())
-    mu = solve_exit_distribution(internal, direct, members, exits)
+    mu = solve_exit_distribution(rows, members, exits)
     for x in members:
-        chain.set_override(
-            x, ((z, mu[x][z], exit_order[z] - base) for z in exits if mu[x][z] > 0.0)
-        )
+        kept = [z for z in exits if mu[x][z] > 0.0]
+        chain.set_override(x, (
+            kept,
+            array("d", [mu[x][z] for z in kept]),
+            tuple(exit_order[z] - base for z in kept),
+        ))
     return members
 
 
-def forward_phase(chain: Chain) -> ForwardResult:
+def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
     """Explore the chain from s in order of increasing rarity order.
 
-    Returns shortest-order distances d(s, x) and the relevant set Lambda.
+    Returns shortest-order distances d(s, x), the relevant set Lambda and
+    the number of order-0 cycles removed.
     Exploration stops once every state at distance <= d(s, g) has been
     expanded; cycle removal may lower already-settled distances, in which
     case the affected states are re-queued.
@@ -192,7 +183,8 @@ def forward_phase(chain: Chain) -> ForwardResult:
         expand = True
         while expand:
             expand = False
-            for z, _p, r in chain.edges(x):
+            targets, _probs, orders = chain.row(x)
+            for z, r in zip(targets, orders):
                 nd = du + r
                 if nd < d.get(z, INFINITY):
                     d[z] = nd
@@ -226,27 +218,22 @@ def forward_phase(chain: Chain) -> ForwardResult:
         raise GoalUnreachableError("goal is unreachable from the initial state")
     d_goal = d[goal]
     lambda_set = frozenset(x for x in settled if d[x] <= d_goal)
-    return ForwardResult(d, lambda_set, hpc_count)
+    return d, lambda_set, hpc_count
 
 
-@dataclass
-class BackwardResult:
-    gamma_set: frozenset[int]
-    d_backward: dict[int, Order]
-    v_delta: dict[int, float]
-    processing_order: tuple[int, ...]
-    dominant_edges: dict[int, list[int]]
-
-
-def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
+def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     """Distance-to-goal and dominant-path probability over Lambda + Gamma.
 
+    Returns Gamma, d(., g), v, the processing order and the dominant
+    edges, in the order of the fields of ``PreprocessResult``.
+
     Gamma is the frontier: non-terminal states directly reachable from
-    Lambda that lie outside it.  Frontier states keep their own rows; only
-    their targets beyond Lambda + Gamma are folded into g, each as an edge
-    of the same probability and order (the shortcut sits one step past the
-    frontier).  Hence d(x, g) is a lower bound on the true distance, exact
-    on the dominant paths from s, which never leave Lambda.  For every node,
+    Lambda that lie outside it.  Frontier states keep their own rows;
+    only their targets beyond Lambda + Gamma are folded into g
+    (``Chain.folded_row``), each as an edge of the same probability and
+    order (the shortcut sits one step past the frontier).  Hence d(x, g)
+    is a lower bound on the true distance, exact on the dominant paths
+    from s, which never leave Lambda.  For every node,
 
         v(x) = sum of p(x, z) * v(z) over successors z
                with order(x, z) + d(z, g) = d(x, g).
@@ -262,26 +249,25 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
     """
     goal = chain.goal_index
     taboo = chain.taboo_index
-    out_edges: dict[int, tuple[Edge, ...]] = {}
+    rows: dict[int, Row] = {}
     gamma: set[int] = set()
     for x in sorted(lambda_set):
         if chain.is_terminal(x):
             continue
-        row = tuple(chain.edges(x))
-        out_edges[x] = row
-        for z, _p, _r in row:
+        rows[x] = row = chain.row(x)
+        for z in row[0]:
             if z not in lambda_set and not chain.is_terminal(z):
                 gamma.add(z)
     inner = lambda_set | gamma
     for g_state in sorted(gamma):
-        out_edges[g_state] = chain.folded_edges(g_state, inner)
+        rows[g_state] = chain.folded_row(g_state, inner)
     nodes = set(inner)
     nodes.add(goal)
-    preds: dict[int, list[Edge]] = {x: [] for x in nodes}
+    preds: dict[int, list[tuple[int, Order]]] = {x: [] for x in nodes}
     preds[taboo] = []
-    for x, row in out_edges.items():
-        for z, p, r in row:
-            preds[z].append((x, p, r))
+    for x, (targets, _probs, orders) in rows.items():
+        for z, r in zip(targets, orders):
+            preds[z].append((x, r))
 
     # distances to goal (reverse Dijkstra over orders)
     db: dict[int, Order] = {x: INFINITY for x in nodes}
@@ -294,7 +280,7 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
         if x in done:
             continue
         done.add(x)
-        for z, _p, r in preds[x]:
+        for z, r in preds[x]:
             nd = r + dx
             if nd < db[z]:
                 db[z] = nd
@@ -304,40 +290,42 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> BackwardResult:
     dominant: dict[int, list[int]] = {}
     waiting: dict[int, list[int]] = {}
     pending: dict[int, int] = {}  # dominant edges into states not done yet
-    for x, row in out_edges.items():
+    for x, (targets, _probs, orders) in rows.items():
         dx = db[x]
         if dx == INFINITY:
             continue
-        dominant[x] = edges = [i for i, (z, _p, r) in enumerate(row) if r + db[z] == dx]
-        later = [row[i][0] for i in edges if row[i][0] != goal]  # g is done first
+        dominant[x] = edges = [
+            i for i, (z, r) in enumerate(zip(targets, orders)) if r + db[z] == dx
+        ]
+        later = [targets[i] for i in edges if targets[i] != goal]  # g is done first
         pending[x] = len(later)
         for z in later:
             waiting.setdefault(z, []).append(x)
     v: dict[int, float] = {goal: 1.0, taboo: 0.0}
     done = [x for x, n in pending.items() if not n]
     for x in done:
-        row = out_edges[x]
-        v[x] = reduce(add, [row[i][1] * v[row[i][0]] for i in dominant[x]], 0.0)
+        targets, probs, _orders = rows[x]
+        v[x] = reduce(add, [probs[i] * v[targets[i]] for i in dominant[x]], 0.0)
         for y in waiting.get(x, ()):
             pending[y] -= 1
             if not pending[y]:
                 done.append(y)
     rest = [x for x in dominant if x not in v]
     if rest:
-        v.update(_solve_cyclic_values(rest, out_edges, dominant, v))
+        v.update(_solve_cyclic_values(rest, rows, dominant, v))
     unreachable = sorted(x for x in nodes if db[x] == INFINITY)
     v.update(dict.fromkeys(unreachable, 0.0))
     order = (goal, *done, *rest, *unreachable)
-    return BackwardResult(frozenset(gamma), db, v, order, dominant)
+    return frozenset(gamma), db, v, order, dominant
 
 
 def _solve_cyclic_values(
-    rest, out_edges, dominant, known: Mapping[int, float]
+    rest, rows, dominant, known: Mapping[int, float]
 ) -> dict[int, float]:
     """Dominant-path mass of states in or behind order-0 cycles.
 
     Solves (I - P) v = b over ``rest``, where P holds the dominant edges
-    (``dominant`` positions in ``out_edges``) among ``rest`` and b
+    (``dominant`` positions in ``rows``) among ``rest`` and b
     collects the dominant edges into states whose values are ``known``.
     Every such state has a dominant path out of ``rest``, so I - P is
     non-singular.
@@ -348,8 +336,9 @@ def _solve_cyclic_values(
     data, ri, ci = [1.0] * n, list(range(n)), list(range(n))
     for x in rest:
         i = pos[x]
+        targets, probs, _orders = rows[x]
         for k in dominant[x]:
-            z, p, _r = out_edges[x][k]
+            z, p = targets[k], probs[k]
             j = pos.get(z)
             if j is None:
                 b[i] += p * known[z]
@@ -367,11 +356,12 @@ def _solve_cyclic_values(
 class PreprocessResult:
     """Everything the sampler needs, plus a summary report.
 
-    Indices refer to ``chain``, which holds the rows resolved so far and
-    the replacement rows produced by cycle removal (``overrides``); rows
-    of all other states come from the model unchanged.  Sampling and the
-    oracle keep growing the chain; ``states_discovered`` counts the states
-    the forward phase indexed.
+    Indices refer to ``chain``, the reduced chain: it holds the rows
+    resolved so far, the replacement rows of cycle removal
+    (``chain.overrides``) and the indices of s, g and t; rows of all
+    other states come from the model unchanged.  Sampling and the oracle
+    keep growing the chain; ``states_discovered`` counts the states the
+    forward phase indexed, which the backward phase does not add to.
     """
 
     chain: Chain
@@ -389,37 +379,13 @@ class PreprocessResult:
     wall_time_ms: float
 
     @property
-    def indexer(self) -> StateIndexer:
-        return self.chain.indexer
-
-    @property
-    def s_index(self) -> int:
-        return self.chain.s_index
-
-    @property
-    def goal_index(self) -> int:
-        return self.chain.goal_index
-
-    @property
-    def taboo_index(self) -> int:
-        return self.chain.taboo_index
-
-    @property
-    def overrides(self) -> dict[int, tuple[Edge, ...]]:
-        return self.chain.overrides
-
-    @property
-    def initial_is_taboo(self) -> bool:
-        return self.chain.initial_is_taboo
-
-    @property
     def d_sg(self) -> Order:
-        return self.d_forward[self.goal_index]
+        return self.d_forward[self.chain.goal_index]
 
     @property
     def p_delta(self) -> float:
         """Probability of the dominant paths, v(s)."""
-        return self.v_delta.get(self.s_index, 0.0)
+        return self.v_delta.get(self.chain.s_index, 0.0)
 
     @property
     def lambda_size(self) -> int:
@@ -428,8 +394,8 @@ class PreprocessResult:
         When the initial state doubles as the regeneration state, s and the
         merged taboo node share one descriptor and are counted once.
         """
-        n = len(self.lambda_indices)
-        if self.initial_is_taboo and self.taboo_index in self.lambda_indices:
+        n, chain = len(self.lambda_indices), self.chain
+        if chain.initial_is_taboo and chain.taboo_index in self.lambda_indices:
             n -= 1
         return n
 
@@ -461,20 +427,10 @@ def preprocess(
     chain = Chain(model, state_budget)
     if chain.initial_is_goal:
         raise ModelError("initial state must not be a goal state")
-    fwd = forward_phase(chain)
+    d_forward, lambda_set, hpc_count = forward_phase(chain)
     states_discovered = len(chain)
     chain.state_budget = None
-    bwd = backward_phase(chain, fwd.lambda_set)
     return PreprocessResult(
-        chain=chain,
-        d_forward=fwd.d_forward,
-        lambda_indices=fwd.lambda_set,
-        gamma_indices=bwd.gamma_set,
-        d_backward=bwd.d_backward,
-        v_delta=bwd.v_delta,
-        processing_order=bwd.processing_order,
-        dominant_edges=bwd.dominant_edges,
-        hpc_count=fwd.hpc_count,
-        states_discovered=states_discovered,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        chain, d_forward, lambda_set, *backward_phase(chain, lambda_set),
+        hpc_count, states_discovered, (time.perf_counter() - t0) * 1000.0,
     )

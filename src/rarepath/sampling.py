@@ -293,14 +293,14 @@ def compute_q_delta(com: ChangeOfMeasure) -> float:
     if not com.is_zva:
         raise ConfigError("dominance probability requires a ZVA measure")
     res = com.result
-    dominant = res.dominant_edges
-    w: dict[int, float] = {res.goal_index: 1.0}
+    chain, dominant = res.chain, res.dominant_edges
+    w: dict[int, float] = {chain.goal_index: 1.0}
     for x in res.processing_order:
         if x in res.lambda_indices and x in dominant:
-            row = res.chain.row(x)
+            row = chain.row(x)
             q, targets = com.distribution(row, True), row[0]
             w[x] = reduce(add, [q[i] * w.get(targets[i], 0.0) for i in dominant[x]], 0.0)
-    return w.get(res.s_index, 0.0)
+    return w.get(chain.s_index, 0.0)
 
 
 @dataclass
@@ -389,9 +389,10 @@ def run_estimator(
     """Run replications under the measure and form the chosen estimator.
 
     Exactly one of ``n_runs`` and ``time_budget_ms`` must be given.  In the
-    budgeted mode replications are issued until the deadline passes, so run
-    counts (and therefore results) are not reproducible; fixed ``n_runs``
-    with fixed (seed, workers) is fully deterministic.
+    budgeted mode one stream (``workers`` = 1) issues replications until
+    the deadline passes, so run counts (and therefore results) are not
+    reproducible; fixed ``n_runs`` with fixed (seed, workers) is fully
+    deterministic.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown estimator variant {variant!r}")
@@ -402,6 +403,10 @@ def run_estimator(
     # a NaN deadline is never reached
     if time_budget_ms is not None and not 0.0 < time_budget_ms < math.inf:
         raise ConfigError(f"time budget must be finite and positive: {time_budget_ms}")
+    if workers < 1 or (workers > 1 and time_budget_ms is not None):
+        raise ConfigError(
+            f"workers must be at least 1, and 1 with a time budget: {workers}"
+        )
     t0 = time.perf_counter()
     total = _StreamStats()
     if time_budget_ms is not None:
@@ -466,15 +471,6 @@ def _sample_variance(s1: float, s2: float, n: int) -> float | None:
     if n < 2:
         return None
     return max((s2 - s1 * s1 / n) / (n - 1), 0.0)
-
-
-def confidence_interval(s1: float, s2: float, n: int) -> tuple[float, float]:
-    """(mean, 95% CI half-width) from raw moments."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    mean = s1 / n
-    var = _sample_variance(s1, s2, n)
-    return mean, Z_95 * math.sqrt(var / n)
 
 
 def wnvr(mc: Estimate, other: Estimate) -> float | None:

@@ -51,16 +51,16 @@ def enumerate_chain(
     """
     overrides: dict = {}
     if result is not None:
-        for idx, row in result.overrides.items():
+        for idx, row in result.chain.overrides.items():
             desc_row = []
-            for z, p, r in row:
-                if z == result.goal_index:
+            for z, p, r in zip(*row):
+                if z == result.chain.goal_index:
                     desc_row.append((GOAL, p, r))
-                elif z == result.taboo_index:
+                elif z == result.chain.taboo_index:
                     desc_row.append((TABOO, p, r))
                 else:
-                    desc_row.append((result.indexer.state(z), p, r))
-            overrides[result.indexer.state(idx)] = desc_row
+                    desc_row.append((result.chain.indexer.state(z), p, r))
+            overrides[result.chain.indexer.state(idx)] = desc_row
 
     rows: dict = {}
     start = list(seeds) if seeds is not None else [model.initial_state]
@@ -182,7 +182,7 @@ def brute_force_dominant_mass(model: MarkovModel, result: PreprocessResult):
 
     out = {}
     for x in lam | gamma:
-        idx = result.indexer.lookup(x)
+        idx = result.chain.indexer.lookup(x)
         db = result.d_backward[idx]
         if math.isfinite(db):
             out[idx] = mass(x, db)

@@ -337,6 +337,18 @@ def test_time_budget_that_never_expires_is_a_config_error(capsys, budget):
     assert "time budget" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--workers", "0"], ["--workers", "-2"], ["--time-budget", "100", "--workers", "4"]],
+)
+def test_workers_below_one_or_beside_a_time_budget_is_a_config_error(capsys, flags):
+    code, _out, err = run_cli(
+        capsys, "estimate", "--model", "chain", "--epsilon", "0.1", *flags
+    )
+    assert code == 2
+    assert "workers" in err
+
+
 def test_state_budget_exhaustion_exit_code(capsys):
     code, _out, err = run_cli(
         capsys,

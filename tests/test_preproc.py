@@ -47,7 +47,7 @@ ALL_MODELS = [
 def test_chain_hand_traced_distances():
     """levels=5, eps=0.1: one forced step to level 1, then 4 up-steps."""
     result = preprocess(make_birth_death_chain(5, 0.1))
-    ix = result.indexer
+    ix = result.chain.indexer
     d = result.d_forward
     assert result.d_sg == 4
     assert d[ix.lookup("s")] == 0
@@ -55,18 +55,18 @@ def test_chain_hand_traced_distances():
     assert d[ix.lookup(2)] == 1
     assert d[ix.lookup(3)] == 2
     assert d[ix.lookup(4)] == 3
-    assert d[result.taboo_index] == 0
+    assert d[result.chain.taboo_index] == 0
 
 
 def test_chain_hand_traced_backward_values():
     """v(x) = eps**d(x, g): the only minimal path is straight up."""
     result = preprocess(make_birth_death_chain(5, 0.1))
-    ix = result.indexer
+    ix = result.chain.indexer
     db = result.d_backward
     assert db[ix.lookup(4)] == 1
     assert db[ix.lookup(1)] == 4
     assert db[ix.lookup("s")] == 4
-    assert db[result.taboo_index] == INFINITY
+    assert db[result.chain.taboo_index] == INFINITY
     for level in (1, 2, 3, 4):
         idx = ix.lookup(level)
         assert result.v_delta[idx] == pytest.approx(0.1 ** db[idx], rel=1e-12)
@@ -82,7 +82,7 @@ def test_two_type_hand_traced_backward_values():
     the type-1 failure into the frontier state (2,3) is not a goal hit.
     """
     result = preprocess(two_type_basic(4, 4, 1.0, 0.01))
-    ix = result.indexer
+    ix = result.chain.indexer
     db = result.d_backward
     assert db[ix.lookup((2, 2))] == 2
     assert db[ix.lookup((1, 1))] == 3
@@ -127,7 +127,7 @@ class _FrontierCycle(MarkovModel):
 
 def test_frontier_order_0_cycle_values_solve_exactly():
     result = preprocess(_FrontierCycle())
-    ix = result.indexer
+    ix = result.chain.indexer
     assert {ix.state(i) for i in result.gamma_indices} == {"b", "c", "d", "e"}
     for state, expected in (("b", 4 / 15), ("c", 1 / 3), ("d", 1 / 2)):
         assert result.d_backward[ix.lookup(state)] == 1
@@ -142,7 +142,7 @@ def test_chain_relevant_set_and_frontier():
     result = preprocess(make_birth_death_chain(5, 0.1))
     assert result.hpc_count == 0
     assert result.gamma_size == 0
-    names = {result.indexer.state(i) for i in result.lambda_indices}
+    names = {result.chain.indexer.state(i) for i in result.lambda_indices}
     assert names >= {"s", 1, 2, 3, 4}
 
 
@@ -155,9 +155,9 @@ def test_forward_distances_match_bellman_ford(factory):
     dist, dist_goal = bellman_ford_distance(model, result)
     assert result.d_sg == dist_goal
     for idx in result.lambda_indices:
-        if idx in (result.goal_index, result.taboo_index):
+        if idx in (result.chain.goal_index, result.chain.taboo_index):
             continue
-        state = result.indexer.state(idx)
+        state = result.chain.indexer.state(idx)
         assert result.d_forward[idx] == dist[state], state
 
 
@@ -169,9 +169,9 @@ def test_relevant_set_is_exactly_the_close_states(factory):
     dist, dist_goal = bellman_ford_distance(model, result)
     expected = {x for x, dx in dist.items() if dx <= dist_goal}
     got = {
-        result.indexer.state(i)
+        result.chain.indexer.state(i)
         for i in result.lambda_indices
-        if i not in (result.goal_index, result.taboo_index)
+        if i not in (result.chain.goal_index, result.chain.taboo_index)
     }
     assert got == expected
 
@@ -180,7 +180,7 @@ def test_relevant_set_is_exactly_the_close_states(factory):
 def test_forward_backward_distance_consistency(factory):
     """d(s, g) from the forward phase equals d(x,g)-at-s from backward."""
     result = preprocess(factory())
-    assert result.d_backward[result.s_index] == result.d_sg
+    assert result.d_backward[result.chain.s_index] == result.d_sg
 
 
 # --------------------------------------------- dominant-path values
@@ -195,7 +195,7 @@ def test_dominant_path_mass_matches_enumeration(factory):
     for idx, expected in reference.items():
         assert result.v_delta[idx] == pytest.approx(
             expected, rel=1e-12, abs=1e-300
-        ), result.indexer.state(idx)
+        ), result.chain.indexer.state(idx)
 
 
 @pytest.mark.parametrize("factory", ALL_MODELS)
@@ -203,7 +203,7 @@ def test_dominant_mass_is_a_probability(factory):
     """0 <= v(x) <= 1 everywhere, and the start state keeps positive mass."""
     result = preprocess(factory())
     for idx, v in result.v_delta.items():
-        assert 0.0 <= v <= 1.0 + 1e-9, result.indexer.state(idx)
+        assert 0.0 <= v <= 1.0 + 1e-9, result.chain.indexer.state(idx)
     assert result.p_delta > 0.0
 
 
@@ -213,7 +213,7 @@ def test_dominant_mass_is_a_probability(factory):
 def test_cycle_removal_detects_a_cycle(factory):
     result = preprocess(factory())
     assert result.hpc_count >= 1
-    assert result.overrides
+    assert result.chain.overrides
 
 
 @pytest.mark.parametrize("factory", CYCLE_MODELS)
@@ -229,12 +229,11 @@ def test_cycle_removal_preserves_hitting_probability(factory):
 @pytest.mark.parametrize("factory", CYCLE_MODELS)
 def test_replacement_rows_are_stochastic_with_no_zero_order_self_loop(factory):
     result = preprocess(factory())
-    for idx, row in result.overrides.items():
-        total = sum(p for _z, p, _r in row)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert all(r >= 0 for _z, _p, r in row)
-        assert all(z != idx or r > 0 for z, _p, r in row)
-        assert min(r for _z, _p, r in row) == 0
+    for idx, (targets, probs, orders) in result.chain.overrides.items():
+        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+        assert all(r >= 0 for r in orders)
+        assert all(z != idx or r > 0 for z, r in zip(targets, orders))
+        assert min(orders) == 0
 
 
 def test_exit_distribution_closed_form_two_member_loop():
@@ -243,9 +242,8 @@ def test_exit_distribution_closed_form_two_member_loop():
     0 -> 1 (0.5), 0 -> A (0.5); 1 -> 0 (0.4), 1 -> B (0.6) gives
     mu[0] = (0.625, 0.375) and mu[1] = (0.25, 0.75).
     """
-    internal = {0: [(1, 0.5)], 1: [(0, 0.4)]}
-    direct = {0: [(10, 0.5)], 1: [(11, 0.6)]}
-    mu = solve_exit_distribution(internal, direct, [0, 1], [10, 11])
+    rows = {0: ([1, 10], [0.5, 0.5], (0, 0)), 1: ([0, 11], [0.4, 0.6], (0, 0))}
+    mu = solve_exit_distribution(rows, [0, 1], [10, 11])
     assert mu[0][10] == pytest.approx(0.625)
     assert mu[0][11] == pytest.approx(0.375)
     assert mu[1][10] == pytest.approx(0.25)
@@ -255,9 +253,11 @@ def test_exit_distribution_closed_form_two_member_loop():
 def test_exit_distribution_with_tiny_exit_mass():
     """Near-absorbing loop: internal mass 1 - 1e-9 must still solve."""
     eps = 1e-9
-    internal = {0: [(1, 1.0 - eps)], 1: [(0, 1.0 - eps)]}
-    direct = {0: [(10, eps)], 1: [(11, eps)]}
-    mu = solve_exit_distribution(internal, direct, [0, 1], [10, 11])
+    rows = {
+        0: ([1, 10], [1.0 - eps, eps], (0, 9)),
+        1: ([11, 0], [eps, 1.0 - eps], (9, 0)),
+    }
+    mu = solve_exit_distribution(rows, [0, 1], [10, 11])
     # by symmetry each member leaves through its own exit first slightly
     # more often than not
     assert mu[0][10] + mu[0][11] == pytest.approx(1.0, abs=1e-9)
@@ -266,9 +266,8 @@ def test_exit_distribution_with_tiny_exit_mass():
 
 def test_exit_distribution_self_loop():
     """Geometric self-loop: exit split equals the one-step split."""
-    internal = {0: [(0, 0.9)]}
-    direct = {0: [(1, 0.06), (2, 0.04)]}
-    mu = solve_exit_distribution(internal, direct, [0], [1, 2])
+    rows = {0: ([1, 0, 2], [0.06, 0.9, 0.04], (1, 0, 1))}
+    mu = solve_exit_distribution(rows, [0], [1, 2])
     assert mu[0][1] == pytest.approx(0.6)
     assert mu[0][2] == pytest.approx(0.4)
 
@@ -279,8 +278,31 @@ def test_exit_distribution_self_loop():
 def test_frontier_is_disjoint_from_relevant_set(factory):
     result = preprocess(factory())
     assert not (result.gamma_indices & result.lambda_indices)
-    assert result.goal_index not in result.gamma_indices
-    assert result.taboo_index not in result.gamma_indices
+    assert result.chain.goal_index not in result.gamma_indices
+    assert result.chain.taboo_index not in result.gamma_indices
+
+
+@pytest.mark.parametrize(
+    "factory, discovered",
+    [
+        *(pytest.param(*p.values, None, id=p.id) for p in ALL_MODELS),
+        *(
+            pytest.param(lambda s=s: make_dds(s, 0.01), n, id=f"dds-{s}")
+            for s, n in (
+                ("dedicated", 543), ("disk_priority", 549),
+                ("proc_priority", 543), ("fcfs", 4662),
+            )
+        ),
+    ],
+)
+def test_backward_phase_indexes_no_state(factory, discovered):
+    """Frontier targets beyond Lambda + Gamma are looked up, never
+    indexed, so the chain leaves preprocessing with the forward phase's
+    states only."""
+    result = preprocess(factory())
+    assert len(result.chain) == result.states_discovered
+    if discovered is not None:
+        assert result.states_discovered == discovered
 
 
 def test_processing_order_covers_relevant_set():
@@ -305,10 +327,12 @@ def test_processing_order_is_topological(factory):
     for x in inner:
         if chain.is_terminal(x) or db[x] == INFINITY:
             continue
-        row = list(chain.edges(x)) if x in lam else chain.folded_edges(x, inner)
-        edges = [i for i, (z, _p, r) in enumerate(row) if r + db[z] == db[x]]
-        assert result.dominant_edges[x] == edges, result.indexer.state(x)
-        successors[x] = {row[i][0] for i in edges}
+        targets, _probs, orders = (
+            chain.row(x) if x in lam else chain.folded_row(x, inner)
+        )
+        edges = [i for i, (z, r) in enumerate(zip(targets, orders)) if r + db[z] == db[x]]
+        assert result.dominant_edges[x] == edges, chain.indexer.state(x)
+        successors[x] = {targets[i] for i in edges}
     assert len(result.dominant_edges) == len(successors)
 
     def reach(x):
@@ -327,9 +351,9 @@ def test_processing_order_is_topological(factory):
     assert len(position) == len(result.processing_order)
     for x in set(successors) - cyclic:
         for z in successors[x]:
-            assert position[z] < position[x], result.indexer.state(x)
+            assert position[z] < position[x], result.chain.indexer.state(x)
     if factory is _FrontierCycle:
-        assert {result.indexer.state(x) for x in cyclic} == {"b", "c", "d"}
+        assert {result.chain.indexer.state(x) for x in cyclic} == {"b", "c", "d"}
 
 
 def test_report_fields():
@@ -358,8 +382,8 @@ def test_report_unchanged_after_sampling_and_oracle_grow_the_chain():
 def test_regenerative_start_counted_once():
     """When s is also the return state, Lambda counts it a single time."""
     result = preprocess(two_type_basic(3, 3, 1.0, 0.05))
-    assert result.initial_is_taboo
-    if result.taboo_index in result.lambda_indices:
+    assert result.chain.initial_is_taboo
+    if result.chain.taboo_index in result.lambda_indices:
         assert result.lambda_size == len(result.lambda_indices) - 1
 
 

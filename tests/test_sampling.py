@@ -17,7 +17,6 @@ from rarepath.sampling import (
     Sampler,
     _bfb_distribution,
     compute_q_delta,
-    confidence_interval,
     run_estimator,
     wnvr,
     zva_distribution,
@@ -88,7 +87,7 @@ def test_zva_dbar_pinned_transition_probability():
     model = make_birth_death_chain(5, 0.1)
     com = com_for("zva-dbar", model)
     sampler = Sampler(model, com)
-    ix = com.result.indexer
+    ix = com.result.chain.indexer
     cum = sampler._compile(ix.lookup(2), context=True)[0]
     targets, _probs, _orders = sampler.chain.row(ix.lookup(2))
     q_up = cum[0] if targets[0] == ix.lookup(3) else cum[1] - cum[0]
@@ -103,9 +102,9 @@ def test_zva_delta_equals_dbar_on_the_chain():
     s_delta = Sampler(model, com_for("zva-delta", model))
     for state in (1, 2, 3, 4):
         assert s_dbar._compile(
-            s_dbar.result.indexer.lookup(state), True
+            s_dbar.result.chain.indexer.lookup(state), True
         )[0] == pytest.approx(
-            s_delta._compile(s_delta.result.indexer.lookup(state), True)[0],
+            s_delta._compile(s_delta.result.chain.indexer.lookup(state), True)[0],
             rel=1e-12,
         )
 
@@ -328,6 +327,20 @@ def test_time_budget_must_be_finite_and_positive(budget_ms):
         run_estimator(model, ChangeOfMeasure("mc"), time_budget_ms=budget_ms)
 
 
+@pytest.mark.parametrize(
+    "workers, budget_ms", [(0, None), (-2, None), (4, 100.0), (2, 50.0)]
+)
+def test_workers_below_one_or_beside_a_time_budget_are_rejected(workers, budget_ms):
+    """A time budget runs one stream, so more workers would be ignored."""
+    model = make_birth_death_chain(5, 0.1)
+    n_runs = None if budget_ms else 100
+    with pytest.raises(ConfigError, match="workers"):
+        run_estimator(
+            model, ChangeOfMeasure("mc"), n_runs=n_runs,
+            time_budget_ms=budget_ms, workers=workers,
+        )
+
+
 def test_time_budget_mode_returns_an_estimate():
     model = make_birth_death_chain(5, 0.1)
     est = run_estimator(model, ChangeOfMeasure("mc"), time_budget_ms=50.0)
@@ -415,15 +428,6 @@ def test_fcfs_estimates_are_pinned(kind):
 
 
 # ----------------------------------------------------------- statistics
-
-def test_confidence_interval_closed_form():
-    # samples 1, 2, 3: mean 2, sample variance 1, hw = 1.96 / sqrt(3)
-    mean, hw = confidence_interval(6.0, 14.0, 3)
-    assert mean == pytest.approx(2.0)
-    assert hw == pytest.approx(1.959963984540054 / math.sqrt(3.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        confidence_interval(1.0, 1.0, 1)
-
 
 def _estimate(hw, wall):
     return Estimate(
