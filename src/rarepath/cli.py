@@ -81,7 +81,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     lists = {"epsilon", "method", "param"}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        # the namespace also holds the subcommand, its handler and the file's path
+        if attr not in vars(args) or attr in ("command", "func", "config"):
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, attr) is None:
             if attr in lists:

@@ -19,6 +19,11 @@ likelihood ratio 1.  Frontier states carry the values that preprocessing
 resolved from their own rows, which are positive whenever the goal is
 reachable from them, so leaving Lambda is never starved of probability.
 
+``ChangeOfMeasure`` owns both rules of a measure, each over one row and
+the path's one-bit context: q (``distribution``) and the context after
+each position (``next_contexts``).  ``Sampler`` compiles both into each
+state's step, so its walk tests no measure's kind.
+
 Estimators
 ----------
 * ``plain``:    mean of L * 1[hit goal].
@@ -27,12 +32,6 @@ Estimators
 * ``plusplus``: P(dominant) + Q(non-dominant) * Y, where Y averages L over
                 the M non-dominant runs only; its variance uses the
                 conditional decomposition Q(Psi) * Var(L | Psi) / N.
-
-A ``Sampler`` builds once the constants every path reads and compiles each
-state's step on first visit: one list index, one bisect and one multiply
-per step.  Replications are split across deterministic per-worker RNG
-streams and the partial moments are merged in stream order, so results
-depend only on (seed, workers), not on scheduling.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import accumulate
+from functools import cached_property, partial, reduce
+from itertools import accumulate, repeat
 from operator import add
 from typing import Sequence
 
@@ -68,7 +67,11 @@ IGBS_DELTA = 1.0 / 100.0
 
 @dataclass(frozen=True)
 class ChangeOfMeasure:
-    """A simulation measure, possibly backed by preprocessing output."""
+    """A simulation measure, possibly backed by preprocessing output.
+
+    A path's context is one bit: for igbs "the last step had order 0" (off
+    at s), for ZVA "still inside Lambda" (on at s); mc and bfb keep it off.
+    """
 
     kind: str
     result: PreprocessResult | None = None
@@ -89,10 +92,6 @@ class ChangeOfMeasure:
     def is_zva(self) -> bool:
         return self.kind in ZVA_MEASURES
 
-    @property
-    def is_igbs(self) -> bool:
-        return self.kind == "igbs"
-
     @cached_property
     def values(self) -> dict[int, float]:
         """v per chain index over Lambda + Gamma; absent indices have v = 0."""
@@ -104,13 +103,10 @@ class ChangeOfMeasure:
         }
 
     def distribution(self, row: Row, context: bool) -> Sequence[float]:
-        """q over one row of the chain.
-
-        ``context`` flags the measure's state dependence: for igbs it is
-        "previous step had order 0", for ZVA it is "still inside Lambda",
-        where q reads the row's targets (which must be classified).
-        Without a change, or where every target has value 0, q is p.
-        """
+        """q over one row in the path's ``context``: failures share IGBS_DELTA
+        for igbs in context and FAILURE_SHARE for bfb and igbs otherwise; ZVA
+        in context reads the row's targets, which must be classified.
+        Otherwise, or where every target has value 0, q is p."""
         targets, probs, orders = row
         if self.kind in ("bfb", "igbs"):
             return _bfb_distribution(orders, IGBS_DELTA if context else FAILURE_SHARE)
@@ -121,6 +117,18 @@ class ChangeOfMeasure:
                 return q
         return probs
 
+    def next_contexts(self, row: Row, context: bool) -> bytes:
+        """The context after each position of ``row``: for igbs whether the
+        step has order 0, for ZVA in context whether the target is in Lambda
+        (so a path that left Lambda stays out), otherwise 0."""
+        targets, _probs, orders = row
+        if self.kind == "igbs":
+            return bytes(r == 0 for r in orders)
+        if context and self.is_zva:
+            inside = self.result.lambda_indices
+            return bytes(z in inside for z in targets)
+        return bytes(len(orders))
+
 
 @dataclass
 class PathSample:
@@ -130,13 +138,10 @@ class PathSample:
     steps: int
     left_lambda: bool
     dominant: bool
-    #: optional per-step log of (state, target, p, q, order), states as
-    #: chain indices
-    trajectory: list[tuple[int, int, float, float, int]] | None = None
 
 
-#: one state's compiled step (cumulative q, targets, p/q, orders), listed by state
-Step = tuple[array, list[int], array, tuple[int, ...]]
+#: one state's compiled step (cumulative q, targets, p/q, orders, contexts)
+Step = tuple[array, list[int], array, tuple[int, ...], bytes]
 
 
 def _bfb_distribution(orders: Sequence[int], share: float) -> list[float]:
@@ -181,11 +186,10 @@ class Sampler:
 
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
-    a chain of their own over the model's rows.  The constants every path
-    reads are built once per sampler.  Compiles each state's sampling step
-    once per context into a list indexed by state, and grows its chain as
-    paths reach new states, so it is not thread-safe; worker processes get
-    their own copy of the result.
+    a chain of their own.  Each state's step is compiled from the
+    measure's two rules on its first visit in each context.  The chain and
+    the steps grow as paths reach new states, so a sampler is not
+    thread-safe; worker processes get their own copy of the result.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
@@ -196,87 +200,79 @@ class Sampler:
         #: compiled steps by state index, one list per context value; None
         #: (or an index past the end) marks a state not compiled yet
         self._steps: tuple[list[Step | None], list[Step | None]] = ([], [])
+        #: equal arrays and equal context vectors, shared by the steps
         self._shared: dict[bytes, array] = {}
-        #: bfb/igbs: cumulative q per (orders, context), all that q reads
-        self._cums: dict[tuple[tuple[int, ...], bool], array] = {}
+        self._nexts: dict[bytes, bytes] = {}
+        #: bfb/igbs: (cum, contexts) per (orders, context), all the rules read
+        self._cums: dict[tuple[tuple[int, ...], bool], tuple[array, bytes]] = {}
         #: what every path reads, unpacked by ``sample`` in one load
         self._consts = (
             chain, self._steps, chain.goal_index, chain.taboo_index, is_zva,
-            com.is_igbs, res.lambda_indices if is_zva else frozenset(),
             res.d_sg if is_zva else None, chain.s_index,
         )
 
     def _compile(self, idx: int, context: bool) -> Step:
-        """The state's sampling step: cumulative q, targets, p/q, orders.
+        """The state's step in ``context``, from the measure's two rules.
 
-        ``context`` is as in ``ChangeOfMeasure.distribution``.  p/q is
-        taken over the width of each interval of the cumulative q; an
-        interval of width 0 is never drawn and gets ratio 0.
+        The row is fetched, not classified: only a ZVA step in context
+        reads targets, and it is compiled only in Lambda, whose rows
+        preprocessing classified.  p/q is taken over the width of each
+        interval of the cumulative q; a width of 0 is never drawn, ratio 0.
         """
-        # only the ZVA values read the targets
-        resolve = self.chain.row if context and self.com.is_zva else self.chain.fetch
-        row = resolve(idx)
+        com, shared = self.com, self._shared
+        row = self.chain.fetch(idx)
         targets, probs, orders = row
-        shared = self._shared
-        key = (orders, context) if self.com.kind in ("bfb", "igbs") else None
-        cum = self._cums.get(key)
-        if cum is None:
-            cum = array("d", accumulate(self.com.distribution(row, context)))
+        key = (orders, context) if com.kind in ("bfb", "igbs") else None
+        rules = self._cums.get(key)
+        if rules is None:
+            cum = array("d", accumulate(com.distribution(row, context)))
             cum[-1] = 1.0  # guard against round-off at the top end
-            cum = shared.setdefault(cum.tobytes(), cum)
+            nexts = com.next_contexts(row, context)
+            nexts = self._nexts.setdefault(nexts, nexts)
+            rules = shared.setdefault(cum.tobytes(), cum), nexts
             if key is not None:
-                self._cums[key] = cum
+                self._cums[key] = rules
+        cum, nexts = rules
         ratios = array("d", [
             p / w if (w := hi - lo) > 0.0 else 0.0
             for p, lo, hi in zip(probs, [0.0, *cum], cum)
         ])
-        # rows with equal arrays share one
         ratios = shared.setdefault(ratios.tobytes(), ratios)
         table = self._steps[context]
         if len(table) <= idx:  # cover every state the chain has indexed
             table.extend([None] * (len(self.chain) - len(table)))
-        step = table[idx] = (cum, targets, ratios, orders)
+        step = table[idx] = (cum, targets, ratios, orders, nexts)
         return step
 
-    def sample(
-        self, rng: random.Random, record: bool = False, max_steps: int = 10_000_000
-    ) -> PathSample:
-        """One path from s into g or t; ``perfbench`` times each call."""
-        chain, tables, goal, taboo, is_zva, igbs, lambda_set, d_sg, state = self._consts
+    def sample(self, rng: random.Random, max_steps: int = 10_000_000) -> PathSample:
+        """One path from s into g or t; ``perfbench`` times each call.
+
+        After each step the path takes the context that its step gives for
+        the drawn position; a ZVA path that ends with it off has left Lambda.
+        """
+        chain, tables, goal, taboo, is_zva, d_sg, state = self._consts
         draw = rng.random
-        likelihood, order_sum, left_lambda = 1.0, 0, False
-        # igbs starts after no order-0 step, ZVA with importance sampling on
+        likelihood, order_sum = 1.0, 0
         context = is_zva
         table = tables[context]
-        trajectory: list | None = [] if record else None
         for steps in range(1, max_steps + 1):
             try:
                 step = table[state]
             except IndexError:  # indexed after the table last grew
                 step = None
-            cum, targets, ratios, orders = step or self._compile(state, context)
+            cum, targets, ratios, orders, nexts = step or self._compile(state, context)
             i = bisect_right(cum, draw())
             likelihood *= ratios[i]
-            order = orders[i]
-            order_sum += order
+            order_sum += orders[i]
             target = targets[i]
             if target == UNSEEN:
                 target = chain.target(state, i)
-            if record:
-                q_i = cum[i] - (cum[i - 1] if i else 0.0)
-                trajectory.append((state, target, chain.fetch(state)[1][i], q_i, order))
             if target == goal or target == taboo:
-                hit = target == goal
+                hit, left_lambda = target == goal, is_zva and not context
                 dominant = hit and is_zva and not left_lambda and order_sum == d_sg
-                return PathSample(
-                    hit, likelihood, order_sum, steps, left_lambda, dominant, trajectory
-                )
-            if igbs:
-                context = order == 0
-                table = tables[context]
-            elif context and target not in lambda_set:
-                left_lambda, context = True, False  # original dynamics from here
-                table = tables[False]
+                return PathSample(hit, likelihood, order_sum, steps, left_lambda, dominant)
+            context = nexts[i]
+            table = tables[context]
             state = target
         raise ConvergenceError("path exceeded the step cap")
 
@@ -301,28 +297,6 @@ def compute_q_delta(com: ChangeOfMeasure) -> float:
             q, targets = com.distribution(row, True), row[0]
             w[x] = reduce(add, [q[i] * w.get(targets[i], 0.0) for i in dominant[x]], 0.0)
     return w.get(chain.s_index, 0.0)
-
-
-@dataclass
-class _StreamStats:
-    """Partial moments of one RNG stream; merged by plain summation."""
-
-    n: int = 0
-    sum1: float = 0.0  # sum of L * 1[hit]
-    sum2: float = 0.0
-    hits: int = 0
-    m: int = 0  # non-dominant runs
-    nd_sum1: float = 0.0  # sums over non-dominant runs only
-    nd_sum2: float = 0.0
-
-    def merge(self, other: "_StreamStats") -> None:
-        self.n += other.n
-        self.sum1 += other.sum1
-        self.sum2 += other.sum2
-        self.hits += other.hits
-        self.m += other.m
-        self.nd_sum1 += other.nd_sum1
-        self.nd_sum2 += other.nd_sum2
 
 
 @dataclass
@@ -354,7 +328,10 @@ def _run_stream(
     seed: int,
     worker: int,
     deadline: float | None = None,
-) -> _StreamStats:
+) -> tuple[int, float, float, int, int, float, float]:
+    """One RNG stream's moments: paths, sums of X and X^2 with X = L * 1[hit],
+    hits, non-dominant paths and their sums of X and X^2.  The stream stops
+    early once ``time.perf_counter()`` passes ``deadline``."""
     sample = Sampler(model, com).sample
     # string seeding hashes with SHA-512 internally: stable across runs
     # and processes, unlike tuple seeding (deprecated)
@@ -374,7 +351,7 @@ def _run_stream(
             m += 1
             nd_sum1 += x
             nd_sum2 += x * x
-    return _StreamStats(count, sum1, sum2, hits, m, nd_sum1, nd_sum2)
+    return count, sum1, sum2, hits, m, nd_sum1, nd_sum2
 
 
 def run_estimator(
@@ -391,8 +368,10 @@ def run_estimator(
     Exactly one of ``n_runs`` and ``time_budget_ms`` must be given.  In the
     budgeted mode one stream (``workers`` = 1) issues replications until
     the deadline passes, so run counts (and therefore results) are not
-    reproducible; fixed ``n_runs`` with fixed (seed, workers) is fully
-    deterministic.
+    reproducible.  Fixed ``n_runs`` are split evenly over ``workers``
+    streams, each in its own process when ``workers`` > 1, and the
+    streams' moments are summed column by column in stream order; fixed
+    (seed, workers) is therefore fully deterministic.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown estimator variant {variant!r}")
@@ -408,48 +387,36 @@ def run_estimator(
             f"workers must be at least 1, and 1 with a time budget: {workers}"
         )
     t0 = time.perf_counter()
-    total = _StreamStats()
     if time_budget_ms is not None:
-        deadline = t0 + time_budget_ms / 1000.0
-        total = _run_stream(model, com, 2**62, seed, 0, deadline)
+        streams = [_run_stream(model, com, 2**62, seed, 0, t0 + time_budget_ms / 1e3)]
+    elif workers > 1:
+        counts = [n_runs // workers + (i < n_runs % workers) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            streams = list(pool.map(
+                partial(_run_stream, model, com), counts, repeat(seed), range(workers)
+            ))
     else:
-        counts = [
-            n_runs // workers + (1 if i < n_runs % workers else 0)
-            for i in range(workers)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_stream, model, com, counts[i], seed, i)
-                    for i in range(workers)
-                    if counts[i] > 0
-                ]
-                for fut in futures:  # submission order keeps merging stable
-                    total.merge(fut.result())
-        else:
-            for i in range(workers):
-                if counts[i] > 0:
-                    total.merge(_run_stream(model, com, counts[i], seed, i))
+        streams = [_run_stream(model, com, n_runs, seed, 0)]
+    n, sum1, sum2, hits, m, nd_sum1, nd_sum2 = (reduce(add, c, 0) for c in zip(*streams))
     wall = time.perf_counter() - t0
-    if total.n == 0:
+    if n == 0:
         raise ConfigError("no replications were run")
     p_delta = com.result.p_delta if com.is_zva else None
     q_delta = compute_q_delta(com) if variant == "plusplus" else None
-    n = total.n
     if variant == "plain":
-        mean = total.sum1 / n
-        var = _sample_variance(total.sum1, total.sum2, n)
+        mean = sum1 / n
+        var = _sample_variance(sum1, sum2, n)
         hw = Z_95 * math.sqrt(var / n) if var is not None else None
     elif variant == "plus":
-        mean = p_delta + total.nd_sum1 / n
-        var = _sample_variance(total.nd_sum1, total.nd_sum2, n)
+        mean = p_delta + nd_sum1 / n
+        var = _sample_variance(nd_sum1, nd_sum2, n)
         hw = Z_95 * math.sqrt(var / n) if var is not None else None
     else:  # plusplus
         q_psi = 1.0 - q_delta
-        y = total.nd_sum1 / total.m if total.m > 0 else 0.0
+        y = nd_sum1 / m if m > 0 else 0.0
         mean = p_delta + q_psi * y
-        if total.m >= 2:
-            var_l = _sample_variance(total.nd_sum1, total.nd_sum2, total.m)
+        if m >= 2:
+            var_l = _sample_variance(nd_sum1, nd_sum2, m)
             hw = Z_95 * math.sqrt(q_psi * var_l / n)
         else:
             hw = None
@@ -459,8 +426,8 @@ def run_estimator(
         mean=mean,
         ci_half_width=hw,
         n_runs=n,
-        n_hits=total.hits,
-        n_nondominant=total.m,
+        n_hits=hits,
+        n_nondominant=m,
         p_delta=p_delta,
         q_delta=q_delta,
         wall_time_s=wall,

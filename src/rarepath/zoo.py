@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from rarepath.errors import ConfigError
 from rarepath.model import MarkovModel
@@ -298,32 +298,29 @@ def parse_number(name: str, text: str | None, kind: type, default=None):
         raise ConfigError(f"{name} expects {kind.__name__}, got {text!r}") from None
 
 
+#: CLI registry: model name -> (factory, kind of each parameter); a
+#: parameter not given keeps the factory's default
+MODELS: dict[str, tuple[Callable[..., MarkovModel], dict[str, type]]] = {
+    "chain": (make_birth_death_chain, {"levels": int}),
+    "two-type": (two_type_basic, {"k1": int, "k2": int, "c": float}),
+    "two-type-deferred": (two_type_deferred, {"k1": int, "k2": int, "c": float}),
+    "two-type-unbalanced": (two_type_unbalanced, {"k1": int, "k2": int}),
+    "dds": (make_dds, {"strategy": str}),
+}
+
+MODEL_NAMES = tuple(MODELS)
+
+
 def build_model(name: str, epsilon: float, params: dict[str, str]) -> MarkovModel:
-    """CLI registry: construct a model by name with string parameters."""
-    p = dict(params)
-
-    def pop(key: str, kind: type, default):
-        return parse_number(f"--param {key}", p.pop(key, None), kind, default)
-
-    if name == "chain":
-        model: MarkovModel = make_birth_death_chain(pop("levels", int, 5), epsilon)
-    elif name == "two-type":
-        model = two_type_basic(
-            pop("k1", int, 4), pop("k2", int, 4), pop("c", float, 1.0), epsilon
-        )
-    elif name == "two-type-deferred":
-        model = two_type_deferred(
-            pop("k1", int, 5), pop("k2", int, 2), pop("c", float, 1.0 / 50.0), epsilon
-        )
-    elif name == "two-type-unbalanced":
-        model = two_type_unbalanced(pop("k1", int, 5), pop("k2", int, 3), epsilon)
-    elif name == "dds":
-        model = make_dds(str(p.pop("strategy", "dedicated")), epsilon)
-    else:
+    """Construct a registered model by name from string parameters."""
+    if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}")
-    if p:
-        raise ConfigError(f"unknown parameters for {name}: {sorted(p)}")
-    return model
-
-
-MODEL_NAMES = ("chain", "two-type", "two-type-deferred", "two-type-unbalanced", "dds")
+    factory, kinds = MODELS[name]
+    kwargs = {
+        key: parse_number(f"--param {key}", params[key], kind)
+        for key, kind in kinds.items() if key in params
+    }
+    unknown = sorted(set(params) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown parameters for {name}: {unknown}")
+    return factory(epsilon=epsilon, **kwargs)

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from rarepath.zoo import two_type_deferred  # noqa: E402
+from rarepath.zoo import two_type_basic, two_type_deferred  # noqa: E402
 
 PATHS = 300
 
@@ -37,3 +37,20 @@ def test_traced_study_counts_every_layer():
     assert layers["preproc.loop_detect_calls"] >= 1
     assert layers["exact.sweeps"] >= 1
     assert all(math.isfinite(value) for value in layers.values()), layers
+
+
+def test_traced_redundancy_study_counts_paths_that_leave_lambda():
+    """On the redundancy model paths leave Lambda, which the bench counts
+    in ``sampling.left_lambda_paths``; seed 0 gives fixed counts."""
+    wl = workloads.Workload(
+        "redundancy", lambda: two_type_basic(**workloads.REDUNDANCY), PATHS, 1, 1,
+        workloads._redundancy_reference,
+    )
+    ops = workloads.Ops()
+    with tracing.instrumented(tracing.Tracer()) as tracer:
+        study = workloads.run_study(wl, 0, ops, tracer)
+    layers = tracing.layer_metrics(tracer, study.facts)
+    assert layers["sampling.paths"] == PATHS
+    assert layers["sampling.left_lambda_paths"] == 74
+    assert layers["sampling.steps"] == 9880
+    assert ops.failures == []

@@ -249,11 +249,17 @@ def test_config_list_values_split_on_commas(tmp_path, capsys):
 # ------------------------------------------------------------ exit codes
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
+    """Keys that name no option are rejected, also those that name the
+    parser's own attributes."""
     conf = tmp_path / "exp.conf"
-    conf.write_text("model = chain\nepsilon = 0.1\nnonsense = 1\n")
-    code, _out, err = run_cli(capsys, "estimate", "--config", str(conf))
-    assert code == 2
-    assert "nonsense" in err
+    for key, value in (
+        ("nonsense", "1"), ("command", "exact"), ("func", "nothing"),
+        ("config", "other.conf"), ("__class__", "1"),
+    ):
+        conf.write_text(f"model = chain\nepsilon = 0.1\n{key} = {value}\n")
+        code, _out, err = run_cli(capsys, "estimate", "--config", str(conf))
+        assert code == 2, key
+        assert repr(key) in err
 
 
 def test_missing_model_is_a_config_error(capsys):

@@ -16,7 +16,7 @@ from rarepath.errors import (
     StateBudgetExceeded,
 )
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel
+from rarepath.model import UNSEEN, MarkovModel
 from rarepath.orders import INFINITY
 from rarepath.preproc import preprocess, solve_exit_distribution
 from rarepath.sampling import ChangeOfMeasure, run_estimator
@@ -298,9 +298,14 @@ def test_frontier_is_disjoint_from_relevant_set(factory):
 def test_backward_phase_indexes_no_state(factory, discovered):
     """Frontier targets beyond Lambda + Gamma are looked up, never
     indexed, so the chain leaves preprocessing with the forward phase's
-    states only."""
+    states only.  Every row in Lambda is classified, which the sampler's
+    ZVA steps read without classifying."""
     result = preprocess(factory())
-    assert len(result.chain) == result.states_discovered
+    chain = result.chain
+    assert len(chain) == result.states_discovered
+    for x in result.lambda_indices:
+        if not chain.is_terminal(x):
+            assert UNSEEN not in chain.fetch(x)[0], chain.indexer.state(x)
     if discovered is not None:
         assert result.states_discovered == discovered
 

@@ -2,6 +2,8 @@
 
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given
@@ -121,21 +123,63 @@ def test_measure_validation():
 
 # ------------------------------------------------------------ sampling
 
-@pytest.mark.parametrize("kind", ["mc", "bfb", "igbs", "zva-dbar", "zva-delta"])
-def test_likelihood_recomputes_from_trajectory(kind):
-    model = two_type_deferred(epsilon=0.1)
+REPLAY_CASES = [
+    # igbs switches context on the deferred model, and no path leaves Lambda
+    *(
+        pytest.param(lambda: two_type_deferred(epsilon=0.1), kind, 200, False, id=kind)
+        for kind in ("mc", "bfb", "igbs", "zva-dbar", "zva-delta")
+    ),
+    # here paths leave Lambda
+    *(
+        pytest.param(
+            lambda: two_type_basic(20, 20, 1.0, 0.1), kind, 300, True,
+            id=f"redundancy-{kind}",
+        )
+        for kind in ("zva-dbar", "zva-delta")
+    ),
+]
+
+
+@pytest.mark.parametrize("factory, kind, paths, leaves", REPLAY_CASES)
+def test_likelihood_recomputes_from_trajectory(factory, kind, paths, leaves):
+    """Each path's trajectory, replayed from its draws with q from
+    ``distribution`` and the context rules written out here, gives the
+    same L = prod p/q, order sum, length and exit from Lambda as the
+    compiled steps."""
+    model = factory()
     com = com_for(kind, model)
-    rng = random.Random(7)
     sampler = Sampler(model, com)
-    for _ in range(200):
-        s = sampler.sample(rng, record=True)
-        lik = 1.0
-        for _state, _target, p, q, _r in s.trajectory:
-            lik *= p / q
-        # the compiled p/q multiply in path order, so L is exact
-        assert lik == s.likelihood
-        assert s.steps == len(s.trajectory)
-        assert s.order_sum == sum(r for *_x, r in s.trajectory)
+    chain = sampler.chain
+    rng = random.Random(7)
+    left = 0
+    for _ in range(paths):
+        before = rng.getstate()
+        s = sampler.sample(rng)
+        rng_replay = random.Random()
+        rng_replay.setstate(before)
+        state, context = chain.s_index, com.is_zva
+        lik, order_sum, left_lambda, steps = 1.0, 0, False, 0
+        while not chain.is_terminal(state):
+            row = chain.row(state)
+            targets, probs, orders = row
+            q = com.distribution(row, context)
+            cum = list(accumulate(q))
+            cum[-1] = 1.0
+            i = bisect_right(cum, rng_replay.random())
+            lik *= probs[i] / q[i]
+            order_sum += orders[i]
+            steps += 1
+            state = targets[i]
+            if kind == "igbs":
+                context = orders[i] == 0
+            elif context and com.is_zva and state not in com.result.lambda_indices:
+                context, left_lambda = False, True
+        assert rng_replay.getstate() == rng.getstate()
+        assert s.likelihood == pytest.approx(lik, rel=1e-12)
+        assert (s.order_sum, s.steps, s.left_lambda) == (order_sum, steps, left_lambda)
+        assert s.hit_goal == (state == chain.goal_index)
+        left += left_lambda
+    assert (left > 0) == leaves
 
 
 def test_sample_path_terminates_and_labels_dominance():
