@@ -6,7 +6,9 @@ Enumerates the reachable merged state space and solves
 
 with Gauss-Seidel iteration; each sweep is one sparse lower-triangular
 solve, so large spaces stay fast.  Serves as the reference oracle that the
-simulation estimators are validated against.
+simulation estimators are validated against.  Unlike the estimators it
+needs the whole space, so it keeps none of it as rows: each row is read
+once into two flat arrays, from which numpy assembles the matrix.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ def exact_hitting_probability(
     Returns (pi(s), pi for every non-terminal state of the chain).  States
     are enumerated through a ``Chain``: the model's own, or the
     preprocessing result's to solve over the reduced chain instead
-    (growing that chain); cycle removal must leave hitting probabilities
-    unchanged, which the test suite checks against this oracle.
+    (indexing every state in that chain, but storing none of its rows);
+    cycle removal must leave hitting probabilities unchanged, which the
+    test suite checks against this oracle.
 
     Matrix row i is chain index i: the indices are walked upward while
-    ``chain.row`` appends the states each row discovers (breadth-first
-    from s on the model's own chain); g and t keep identity rows with
-    b = 0 and are left out of the returned map.
+    ``chain.take`` reads row i once, indexing the states it discovers
+    (breadth-first from s on the model's own chain).  Goal mass goes to
+    b and self-loops to the diagonal; the other entries keep their row
+    order, duplicates summed.  g and t, and any state whose row only loops
+    on itself, get identity rows with b = 0; g and t are left out of the
+    returned map.
 
     The sweeps stop once, in every component i, the step is small relative
     to the solution, |x_new - x|_i <= TOL * |x|_i (components at zero stay
@@ -56,37 +62,37 @@ def exact_hitting_probability(
     """
     chain = result.chain if result is not None else Chain(model)
     goal, taboo = chain.goal_index, chain.taboo_index
-    # typed arrays hold the entries without a Python object each
-    b, data, ri, ci = array("d"), array("d"), array("q"), array("q")
+    # one pass over the rows, each read once into flat typed arrays
+    targets, probs, sizes = array("i"), array("d"), array("i")
+    empty = (), (), ()
     i = 0
     while i < len(chain):
-        diag = 1.0
-        bi = 0.0
-        if i != goal and i != taboo:
-            targets, probs, _orders = chain.row(i)
-            if len(chain) - 2 > state_cap:  # g and t take two indices
-                raise StateBudgetExceeded(f"more than {state_cap} reachable states")
-            for z, p in zip(targets, probs):
-                if z == goal:
-                    bi += p
-                elif z == taboo:
-                    continue
-                elif z == i:
-                    diag -= p
-                else:
-                    data.append(-p)
-                    ri.append(i)
-                    ci.append(z)
-        data.append(diag)
-        ri.append(i)
-        ci.append(i)
-        b.append(bi)
+        row_targets, row_probs, _orders = empty if chain.is_terminal(i) else chain.take(i)
+        if len(chain) - 2 > state_cap:  # g and t take two indices
+            raise StateBudgetExceeded(f"more than {state_cap} reachable states")
+        targets.extend(row_targets)
+        probs.extend(row_probs)
+        sizes.append(len(row_targets))
         i += 1
 
     n = len(chain)
-    b = np.frombuffer(b)
-    rows, cols = np.frombuffer(ri, np.int64), np.frombuffer(ci, np.int64)
-    a = csr_matrix((np.frombuffer(data), (rows, cols)), shape=(n, n))
+    z, p = np.frombuffer(targets, np.intc), np.frombuffer(probs)
+    sizes = np.frombuffer(sizes, np.intc)
+    r = np.repeat(np.arange(n, dtype=np.intc), sizes)
+    hit = z == goal
+    b = np.bincount(r[hit], p[hit], minlength=n)
+    loop = z == r
+    diag = np.ones(n)
+    np.subtract.at(diag, r[loop], p[loop])
+    # a state that only loops on itself never reaches g: identity, b = 0
+    diag[np.bincount(r[loop], minlength=n) == sizes] = 1.0
+    keep = ~(hit | loop | (z == taboo))
+    # each row's entries in row order, its diagonal last
+    ends = np.cumsum(np.bincount(r[keep], minlength=n))
+    at = np.arange(n, dtype=np.intc)
+    rows, cols = np.insert(r[keep], ends, at), np.insert(z[keep], ends, at)
+    a = csr_matrix((np.insert(-p[keep], ends, diag), (rows, cols)), shape=(n, n))
+    del targets, probs, z, p, sizes, r, hit, loop, keep, rows, cols
     lower = tril(a, k=0, format="csr")
     upper = triu(a, k=1, format="csr")
 

@@ -163,23 +163,24 @@ UNSEEN = -1
 
 
 class Chain:
-    """The chain of one model in index space, resolved lazily and once.
+    """The chain of one model in index space, resolved lazily.
 
-    Each row is fetched once, on first request, straight from
-    ``model.successors``; a row set by ``set_override`` (cycle removal)
-    replaces the model's.  A descriptor met as a target is classified when
-    first needed: plain ones get dense indices in first-discovery order,
-    taboo ones become indexer aliases of the merged TABOO node.  Goal
-    targets map to the merged GOAL node; their descriptors are not kept,
-    because the goal boundary can be as large as the state space and each
-    goal state is usually entered from a single state.
+    Each row is fetched on first request, straight from
+    ``model.successors``, and kept unless ``take`` reads it first; a row
+    set by ``set_override`` (cycle removal) replaces the model's.  A
+    descriptor met as a target is classified when first needed: plain
+    ones get dense indices in first-discovery order, taboo ones become
+    indexer aliases of the merged TABOO node.  Goal targets map to the
+    merged GOAL node; their descriptors are not kept, because the goal
+    boundary can be as large as the state space and each goal state is
+    usually entered from a single state.
 
     A row is one format everywhere (``Row``): target indices, probabilities
-    and orders, position by position.  ``row`` classifies every target of
-    a row; ``fetch`` and ``target`` let a sampler classify only the targets
-    it steps to, so the states next to its path cost neither indices nor
-    predicate calls; ``folded_row`` gives a frontier state's row without
-    indexing its targets.
+    and orders, position by position.  ``row`` and ``take`` classify every
+    target of a row; ``fetch`` and ``target`` let a sampler classify only
+    the targets it steps to, so the states next to its path cost neither
+    indices nor predicate calls; ``folded_row`` gives a frontier state's
+    row without indexing its targets.
 
     The initial state is indexed as a regular node even when its
     descriptor satisfies the goal or taboo predicate (regenerative models
@@ -277,6 +278,19 @@ class Chain:
             for i, z in enumerate(targets):
                 if z == UNSEEN:
                     targets[i] = self._classify(states[i])
+        return row
+
+    def take(self, idx: int) -> Row:
+        """The row of ``idx`` with every target classified, kept only if held.
+
+        A row the chain holds already (fetched before, or an override) is
+        classified in place and kept, as by ``row``; any other row is
+        dropped once read, so a caller that reads each row once keeps none.
+        """
+        held = idx in self._rows
+        row = self.row(idx)
+        if not held:
+            del self._rows[idx]
         return row
 
     def folded_row(self, idx: int, inner: frozenset[int]) -> Row:

@@ -1,16 +1,21 @@
 """Linear-solve oracle: closed forms and a second, independent solver."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rarepath.errors import StateBudgetExceeded
+from rarepath.errors import ModelError, StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import GOAL, TABOO, MarkovModel
 from rarepath.preproc import preprocess
+from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
     MulticomponentModel,
     make_birth_death_chain,
+    make_dds,
     two_type_basic,
     two_type_deferred,
 )
@@ -41,41 +46,88 @@ def test_chain_matches_ruin_closed_form(levels, eps):
         )
 
 
-class TwoStateLoop(MarkovModel):
-    """a -> g (p) / b (1-p); b -> a (q) / t (1-q).
+class TableModel(MarkovModel):
+    """A DTMC given as a table: state -> (targets, probabilities).
 
-    pi(a) = p / (1 - (1 - p) q) by eliminating pi(b) = q pi(a).
+    "g" and "g2" are goal states, "t" and "t2" taboo ones; orders are
+    assigned from the probabilities.
     """
 
     emits_rates = False
     epsilon = 0.1
 
-    def __init__(self, p: float, q: float):
-        self.p = p
-        self.q = q
+    def __init__(self, rows, initial_state=0):
+        self.rows = rows
+        self._initial = initial_state
 
     @property
     def initial_state(self):
-        return "a"
+        return self._initial
 
     def is_goal(self, state):
-        return state == "g"
+        return state in ("g", "g2")
 
     def is_taboo(self, state):
-        return state == "t"
+        return state in ("t", "t2")
 
     def successors(self, state):
-        if state == "a":
-            return ["g", "b"], [self.p, 1 - self.p], [1, 0]
-        return ["a", "t"], [self.q, 1 - self.q], [0, 0]
+        targets, probs = self.rows[state]
+        return targets, probs, [None] * len(targets)
 
 
 @pytest.mark.parametrize("p,q", [(0.05, 0.5), (0.3, 0.9), (0.5, 0.1)])
 def test_two_state_loop_closed_form(p, q):
-    pi_s, pi = exact_hitting_probability(TwoStateLoop(p, q))
+    """a -> g (p) / b (1-p); b -> a (q) / t (1-q).
+
+    pi(a) = p / (1 - (1 - p) q) by eliminating pi(b) = q pi(a).
+    """
+    model = TableModel({"a": (["g", "b"], [p, 1 - p]), "b": (["a", "t"], [q, 1 - q])}, "a")
+    pi_s, pi = exact_hitting_probability(model)
     expected = p / (1.0 - (1.0 - p) * q)
     assert pi_s == pytest.approx(expected, rel=1e-10)
     assert pi["b"] == pytest.approx(q * expected, rel=1e-10)
+
+
+def test_absorbing_non_terminal_state_reads_zero():
+    """A state whose row only loops on itself can never reach g."""
+    model = TableModel(
+        {"a": (["g", "trap", "t"], [0.1, 0.1, 0.8]), "trap": (["trap"], [1.0])}, "a"
+    )
+    pi_s, pi = exact_hitting_probability(model)
+    assert pi_s == pytest.approx(0.1, rel=1e-12)
+    assert pi["trap"] == 0.0
+    with pytest.raises(ModelError, match="order-0 cycle with no exit"):
+        preprocess(model)
+
+
+@st.composite
+def small_dtmcs(draw):
+    """Rows with self-loops, repeated targets and goal and taboo edges.
+
+    Every row also exits to a terminal state, so the dense solve's matrix
+    is regular and the sweeps contract by a rate bounded away from 1.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    names = [*range(n), "g", "g2", "t", "t2"]
+    entry = st.tuples(st.sampled_from(names), st.integers(min_value=1, max_value=9))
+    rows = {}
+    for x in range(n):
+        entries = draw(st.lists(entry, max_size=7))
+        entries.append(draw(st.tuples(st.sampled_from(["g", "t"]), st.integers(1, 9))))
+        total = sum(w for _z, w in entries)
+        rows[x] = [z for z, _w in entries], [w / total for _z, w in entries]
+    return TableModel(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dtmcs())
+def test_random_dtmcs_agree_with_dense_direct_solve(model):
+    pi_s, pi = exact_hitting_probability(model)
+    reference = dense_hitting_probability(model)
+    assert pi_s == pytest.approx(reference[0], rel=1e-9, abs=0.0)
+    assert set(pi) == set(reference)
+    for state, value in pi.items():
+        assert value == pytest.approx(reference[state], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -134,6 +186,53 @@ def test_map_holds_every_reachable_non_terminal_state(factory, size):
     _pi_s, reduced = exact_hitting_probability(model, result)
     assert GOAL not in reduced and TABOO not in reduced
     assert set(reduced) >= set(enumerate_chain(model, result))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        # cycle removal leaves overrides
+        pytest.param(lambda: two_type_deferred(epsilon=0.01), id="deferred"),
+        # a quarter of the paths leave Lambda, into rows the chain does not hold
+        pytest.param(lambda: two_type_basic(20, 20, 1.0, 0.1), id="two-type-20"),
+    ],
+)
+def test_reduced_solve_keeps_shared_rows_and_stores_no_others(factory):
+    model = factory()
+    result = preprocess(model)
+    chain = result.chain
+    held = dict(chain._rows)
+    overrides = dict(chain.overrides)
+    exact_hitting_probability(model, result)
+    assert chain._rows.keys() == held.keys()
+    assert all(chain.fetch(idx) is row for idx, row in held.items())
+    assert chain.overrides.keys() == overrides.keys()
+    assert all(chain.overrides[idx] is row for idx, row in overrides.items())
+    # sampling after the solve reads the same chain as after preprocessing
+    solved, fresh = (
+        run_estimator(
+            model,
+            ChangeOfMeasure("zva-delta", result=res, epsilon=model.epsilon),
+            n_runs=2_000,
+            seed=3,
+        )
+        for res in (result, preprocess(factory()))
+    )
+    assert solved.mean.hex() == fresh.mean.hex()
+    assert solved.ci_half_width.hex() == fresh.ci_half_width.hex()
+
+
+def test_full_dds_solve_memory_is_bounded():
+    """The oracle holds no chain rows: 55.6 MiB traced peak when it kept
+    every row and appended the matrix one entry at a time, 29.7 MiB now."""
+    model = make_dds("dedicated", 0.01)
+    tracemalloc.start()
+    try:
+        exact_hitting_probability(model)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35 * 2**20
 
 
 def test_state_cap_enforced():
