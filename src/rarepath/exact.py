@@ -5,8 +5,9 @@ Enumerates the reachable merged state space and solves
     pi(x) = sum over successors z of p(x, z) * pi(z),  pi(g) = 1, pi(t) = 0
 
 with Gauss-Seidel iteration; each sweep is one sparse lower-triangular
-solve, so large spaces stay fast.  Serves as the reference oracle that the
-simulation estimators are validated against.  Unlike the estimators it
+solve, so large spaces stay fast, and brackets pi from below and above,
+so the solve proves where it stops.  Serves as the reference oracle that
+the simulation estimators are validated against.  Unlike the estimators it
 needs the whole space, so it keeps none of it as rows: each row is read
 once into two flat arrays, from which numpy assembles the matrix.
 """
@@ -25,7 +26,7 @@ from rarepath.model import Chain, MarkovModel
 from rarepath.preproc import PreprocessResult
 
 DEFAULT_STATE_CAP = 2_000_000
-#: componentwise relative tolerance of the Gauss-Seidel stop rule
+#: componentwise relative width at which the Gauss-Seidel bracket stops
 TOL = 1e-12
 #: sweeps before the solve gives up
 MAX_SWEEPS = 200_000
@@ -53,12 +54,14 @@ def exact_hitting_probability(
     on itself, get identity rows with b = 0; g and t are left out of the
     returned map.
 
-    The sweeps stop once, in every component i, the step is small relative
-    to the solution, |x_new - x|_i <= TOL * |x|_i (components at zero stay
-    there), and so is the residual, |A x - b|_i <= TOL * (|b| + |A| |x|)_i.
-    Each probability is thus resolved to the same relative accuracy,
-    however far it lies below the largest one.  After MAX_SWEEPS sweeps
-    the solve gives up with ConvergenceError.
+    Each sweep solves two columns, x_lo from 0 and x_hi from 1 on the
+    states that reach g (``b > 0`` grown through the edges into it) and 0
+    elsewhere: off that set pi = 0, on closed classes too.  The sweeps are
+    monotone (the b = 0 and b = 1 bounds of Muntz, de Souza e Silva &
+    Goyal, 1989), so x_lo <= pi <= x_hi up to rounding.  They stop once
+    x_hi - x_lo <= TOL * x_lo in every component and return x_lo, each
+    probability resolved to the same relative accuracy.  After MAX_SWEEPS
+    sweeps the solve gives up with ConvergenceError.
     """
     chain = result.chain if result is not None else Chain(model)
     goal, taboo = chain.goal_index, chain.taboo_index
@@ -93,23 +96,20 @@ def exact_hitting_probability(
     rows, cols = np.insert(r[keep], ends, at), np.insert(z[keep], ends, at)
     a = csr_matrix((np.insert(-p[keep], ends, diag), (rows, cols)), shape=(n, n))
     del targets, probs, z, p, sizes, r, hit, loop, keep, rows, cols
+    # off the diagonal a holds -p: a row reads < 0 iff it has an edge into reach
+    reach = b > 0
+    while not np.array_equal(grown := reach | (a @ reach < 0), reach):
+        reach = grown
     lower = tril(a, k=0, format="csr")
     upper = triu(a, k=1, format="csr")
-
-    x = np.zeros(n)
-    abs_a = abs(a)
+    del a
+    x = np.column_stack([np.zeros(n), reach])
     for _ in range(MAX_SWEEPS):
-        rhs = b - upper.dot(x)
-        x_new = spsolve_triangular(lower, rhs, lower=True)
-        step = np.abs(x_new - x)
-        x = x_new
-        scale = np.abs(x)
-        if np.all(step <= TOL * scale) and np.all(
-            np.abs(a.dot(x) - b) <= TOL * (np.abs(b) + abs_a.dot(scale))
-        ):
+        x = spsolve_triangular(lower, b[:, None] - upper @ x, lower=True)
+        if np.all(x[:, 1] - x[:, 0] <= TOL * x[:, 0]):
             break
     else:
         raise ConvergenceError("hitting-probability solve did not converge")
     state = chain.indexer.state
-    pi = {state(i): float(x[i]) for i in range(n) if i != goal and i != taboo}
-    return float(x[chain.s_index]), pi
+    pi = {state(i): float(x[i, 0]) for i in range(n) if i != goal and i != taboo}
+    return float(x[chain.s_index, 0]), pi

@@ -185,8 +185,8 @@ class Chain:
     The initial state is indexed as a regular node even when its
     descriptor satisfies the goal or taboo predicate (regenerative models
     reuse the start state as the return state); only transition *targets*
-    are merged into the terminal nodes.  While ``state_budget`` is set,
-    indexing more states than it allows raises ``StateBudgetExceeded``.
+    are merged into the terminal nodes.  Indexing more non-terminal states
+    than a set ``state_budget`` raises ``StateBudgetExceeded``.
     """
 
     def __init__(self, model: MarkovModel, state_budget: int | None = None):
@@ -242,7 +242,7 @@ class Chain:
         if self.model.is_taboo(state):
             self.indexer.alias(state, self.taboo_index)
             return self.taboo_index
-        if self.state_budget is not None and len(self.indexer) >= self.state_budget:
+        if self.state_budget is not None and len(self) - 2 >= self.state_budget:
             raise StateBudgetExceeded(f"more than {self.state_budget} states discovered")
         return self.indexer.index(state)
 

@@ -65,9 +65,10 @@ def test_traced_redundancy_study_counts_paths_that_leave_lambda():
 
 def test_traced_oracle_expands_each_state_once():
     """The oracle reads each row once, through the wrapped model, and
-    sweeps through ``exact.spsolve_triangular``."""
+    sweeps through ``exact.spsolve_triangular``, one call per sweep for
+    both ends of the bracket."""
     tracer, study, _ops = traced_redundancy_study()
     calls, _s = tracing._leaf_total(tracing._under(tracer, "exact"), "model.successors")
     assert study.facts["exact_states"] == 400
     assert calls == 400
-    assert tracing.layer_metrics(tracer, study.facts)["exact.sweeps"] >= 1
+    assert tracing.layer_metrics(tracer, study.facts)["exact.sweeps"] == 80
