@@ -21,8 +21,10 @@ reachable from them, so leaving Lambda is never starved of probability.
 
 ``ChangeOfMeasure`` owns both rules of a measure, each over one row and
 the path's one-bit context: q (``distribution``) and the context after
-each position (``next_contexts``).  ``Sampler`` compiles both into each
-state's step, so its walk tests no measure's kind.
+a position (``next_context``).  ``Sampler`` walks one node per (state,
+context) pair, 0, 1 and 2 being s, g and t as in the chain; each node's
+step holds q, the next node and p/q at every position, so the walk tests
+no measure's kind and no context.
 
 Estimators
 ----------
@@ -39,13 +41,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
@@ -83,9 +84,7 @@ class ChangeOfMeasure:
         if self.is_zva:
             if self.result is None:
                 raise ConfigError(f"{self.kind} requires preprocessing output")
-            if self.kind == "zva-dbar" and not (
-                self.epsilon is not None and 0.0 < self.epsilon < 1.0
-            ):
+            if self.kind == "zva-dbar" and not 0.0 < (self.epsilon or 0.0) < 1.0:
                 raise ConfigError("zva-dbar needs the model epsilon")
 
     @property
@@ -117,41 +116,38 @@ class ChangeOfMeasure:
                 return q
         return probs
 
-    def next_contexts(self, row: Row, context: bool) -> bytes:
-        """The context after each position of ``row``: for igbs whether the
-        step has order 0, for ZVA in context whether the target is in Lambda
-        (so a path that left Lambda stays out), otherwise 0."""
-        targets, _probs, orders = row
+    def next_context(self, row: Row, context: bool, i: int) -> bool:
+        """The context after position ``i`` of ``row``: for igbs whether the
+        step has order 0, for ZVA in context whether the target (which must
+        be classified) is in Lambda, so a path that left Lambda stays out;
+        otherwise off."""
         if self.kind == "igbs":
-            return bytes(r == 0 for r in orders)
-        if context and self.is_zva:
-            inside = self.result.lambda_indices
-            return bytes(z in inside for z in targets)
-        return bytes(len(orders))
+            return row[2][i] == 0
+        return context and self.is_zva and row[0][i] in self.result.lambda_indices
 
 
-@dataclass
-class PathSample:
-    hit_goal: bool
-    likelihood: float
-    order_sum: int
-    steps: int
-    left_lambda: bool
-    dominant: bool
+class PathSample(tuple):
+    """One path: (hit_goal, likelihood, order_sum, steps, left_lambda, dominant)."""
+
+    __slots__ = ()
+    hit_goal, likelihood, order_sum, steps, left_lambda, dominant = (
+        property(itemgetter(i)) for i in range(6)
+    )
 
 
-#: one state's compiled step (cumulative q, targets, p/q, orders, contexts)
-Step = tuple[array, list[int], array, tuple[int, ...], bytes]
+#: node ids of g and t, as in the chain (0 is s; UNSEEN: not resolved yet)
+GOAL_NODE, TABOO_NODE = 1, 2
+
+#: one node's compiled step: cumulative q, next node ids, p/q and orders
+Step = tuple[tuple[float, ...], list[int], tuple[float, ...], tuple[int, ...]]
 
 
 def _bfb_distribution(orders: Sequence[int], share: float) -> list[float]:
     """Failure transitions share ``share``, repairs share the rest."""
     n_f = sum(1 for r in orders if r > 0)
     n_r = len(orders) - n_f
-    if n_f == 0:
-        return [1.0 / n_r] * n_r
-    if n_r == 0:
-        return [1.0 / n_f] * n_f
+    if n_f == 0 or n_r == 0:
+        return [1.0 / len(orders)] * len(orders)
     return [share / n_f if r > 0 else (1.0 - share) / n_r for r in orders]
 
 
@@ -186,10 +182,13 @@ class Sampler:
 
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
-    a chain of their own.  Each state's step is compiled from the
-    measure's two rules on its first visit in each context.  The chain and
-    the steps grow as paths reach new states, so a sampler is not
-    thread-safe; worker processes get their own copy of the result.
+    a chain of their own.  The walk moves between nodes, one per (state,
+    context) pair.  Where the context never changes (mc, bfb) a node is
+    its state's chain index and its step's next nodes are the row's own
+    target list; otherwise nodes are numbered as pairs are met, after s, g
+    and t, and each step has a list of its own.  A step is compiled on a
+    node's first visit and a next node resolved on its position's first
+    draw, so a sampler grows with its chain and is not thread-safe.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
@@ -197,83 +196,101 @@ class Sampler:
         res = self.result = com.result
         is_zva = com.is_zva
         chain = self.chain = res.chain if is_zva else Chain(model)
-        #: compiled steps by state index, one list per context value; None
-        #: (or an index past the end) marks a state not compiled yet
-        self._steps: tuple[list[Step | None], list[Step | None]] = ([], [])
-        #: equal arrays and equal context vectors, shared by the steps
-        self._shared: dict[bytes, array] = {}
-        self._nexts: dict[bytes, bytes] = {}
-        #: bfb/igbs: (cum, contexts) per (orders, context), all the rules read
-        self._cums: dict[tuple[tuple[int, ...], bool], tuple[array, bytes]] = {}
-        #: what every path reads, unpacked by ``sample`` in one load
+        assert (chain.s_index, chain.goal_index, chain.taboo_index) == (0, 1, 2)
+        #: (state, context) by node id and node id by pair where the context
+        #: can change (igbs, ZVA); None where the node id is the chain index
+        pairs = self._pairs = None
+        if com.kind == "igbs" or is_zva:
+            pairs = self._pairs = [(chain.s_index, is_zva), None, None]
+            self._node_of = {pairs[0]: 0}
+        #: compiled steps by node id; None (or an id past the end) marks a
+        #: node not compiled yet
+        self._steps: list[Step | None] = []
+        #: equal floats and equal q and p/q tuples, shared by the steps
+        self._shared: dict = {}
+        #: bfb/igbs: cumulative q per (orders, context), all the rule reads
+        self._cums: dict[tuple[tuple[int, ...], bool], tuple[float, ...]] = {}
+        #: what every path reads, unpacked by ``sample`` in one load; where
+        #: the node id is the chain index, Chain.target resolves a position
         self._consts = (
-            chain, self._steps, chain.goal_index, chain.taboo_index, is_zva,
-            res.d_sg if is_zva else None, chain.s_index,
+            self._steps, pairs, chain.target if pairs is None else self._resolve,
+            is_zva, res.d_sg if is_zva else None,
         )
 
-    def _compile(self, idx: int, context: bool) -> Step:
-        """The state's step in ``context``, from the measure's two rules.
+    def _compile(self, node: int) -> Step:
+        """The node's step, from the measure's rule for q in its context.
 
-        The row is fetched, not classified: only a ZVA step in context
-        reads targets, and it is compiled only in Lambda, whose rows
-        preprocessing classified.  p/q is taken over the width of each
-        interval of the cumulative q; a width of 0 is never drawn, ratio 0.
+        The row is fetched, not classified: only a ZVA step in context reads
+        targets, and only in Lambda, whose rows preprocessing classified.
+        p/q is taken over the width of each interval of the cumulative q; a
+        width of 0 is never drawn, ratio 0.
         """
-        com, shared = self.com, self._shared
-        row = self.chain.fetch(idx)
+        com, pairs = self.com, self._pairs
+        state, context = (node, False) if pairs is None else pairs[node]
+        row = self.chain.fetch(state)
         targets, probs, orders = row
         key = (orders, context) if com.kind in ("bfb", "igbs") else None
-        rules = self._cums.get(key)
-        if rules is None:
-            cum = array("d", accumulate(com.distribution(row, context)))
+        cum = self._cums.get(key)
+        if cum is None:
+            cum = [*accumulate(com.distribution(row, context))]
             cum[-1] = 1.0  # guard against round-off at the top end
-            nexts = com.next_contexts(row, context)
-            nexts = self._nexts.setdefault(nexts, nexts)
-            rules = shared.setdefault(cum.tobytes(), cum), nexts
+            cum = self._share(cum)
             if key is not None:
-                self._cums[key] = rules
-        cum, nexts = rules
-        ratios = array("d", [
+                self._cums[key] = cum
+        ratios = self._share([
             p / w if (w := hi - lo) > 0.0 else 0.0
-            for p, lo, hi in zip(probs, [0.0, *cum], cum)
+            for p, lo, hi in zip(probs, (0.0, *cum), cum)
         ])
-        ratios = shared.setdefault(ratios.tobytes(), ratios)
-        table = self._steps[context]
-        if len(table) <= idx:  # cover every state the chain has indexed
-            table.extend([None] * (len(self.chain) - len(table)))
-        step = table[idx] = (cum, targets, ratios, orders, nexts)
+        table = self._steps
+        if len(table) <= node:
+            table.extend([None] * (node + 1 - len(table)))
+        nodes = targets if pairs is None else [UNSEEN] * len(targets)
+        step = table[node] = (cum, nodes, ratios, orders)
         return step
 
-    def sample(self, rng: random.Random, max_steps: int = 10_000_000) -> PathSample:
-        """One path from s into g or t; ``perfbench`` times each call.
+    def _share(self, values: list[float]) -> tuple[float, ...]:
+        """``values`` as a tuple; equal tuples and equal floats are kept once."""
+        share = self._shared.setdefault
+        vector = tuple(map(share, values, values))
+        return share(vector, vector)
 
-        After each step the path takes the context that its step gives for
-        the drawn position; a ZVA path that ends with it off has left Lambda.
-        """
-        chain, tables, goal, taboo, is_zva, d_sg, state = self._consts
-        draw = rng.random
-        likelihood, order_sum = 1.0, 0
-        context = is_zva
-        table = tables[context]
+    def _resolve(self, node: int, i: int) -> int:
+        """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept there."""
+        chain, pairs = self.chain, self._pairs
+        state, context = pairs[node]
+        nxt = chain.target(state, i)
+        if nxt != GOAL_NODE and nxt != TABOO_NODE:
+            pair = nxt, self.com.next_context(chain.fetch(state), context, i)
+            nxt = self._node_of.setdefault(pair, len(pairs))
+            if nxt == len(pairs):
+                pairs.append(pair)
+        self._steps[node][1][i] = nxt
+        return nxt
+
+    def sample(self, rng: random.Random, max_steps: int = 10_000_000) -> PathSample:
+        """One path from s into g or t; the per-path unit that ``perfbench``
+        wraps and times.  A ZVA path that ends in a node whose context is
+        off has left Lambda."""
+        table, pairs, resolve, is_zva, d_sg = self._consts
+        draw, bisect = rng.random, bisect_right
+        likelihood, order_sum, node = 1.0, 0, 0
         for steps in range(1, max_steps + 1):
             try:
-                step = table[state]
-            except IndexError:  # indexed after the table last grew
-                step = None
-            cum, targets, ratios, orders, nexts = step or self._compile(state, context)
-            i = bisect_right(cum, draw())
+                cum, nodes, ratios, orders = table[node]
+            except (IndexError, TypeError):  # past the end or None
+                cum, nodes, ratios, orders = self._compile(node)
+            i = bisect(cum, draw())
             likelihood *= ratios[i]
             order_sum += orders[i]
-            target = targets[i]
-            if target == UNSEEN:
-                target = chain.target(state, i)
-            if target == goal or target == taboo:
-                hit, left_lambda = target == goal, is_zva and not context
-                dominant = hit and is_zva and not left_lambda and order_sum == d_sg
-                return PathSample(hit, likelihood, order_sum, steps, left_lambda, dominant)
-            context = nexts[i]
-            table = tables[context]
-            state = target
+            nxt = nodes[i]
+            if nxt <= TABOO_NODE:  # unresolved, g, t or s again
+                if nxt == UNSEEN:
+                    nxt = resolve(node, i)
+                if nxt == GOAL_NODE or nxt == TABOO_NODE:
+                    hit, left = nxt == GOAL_NODE, is_zva and not pairs[node][1]
+                    dominant = hit and is_zva and not left and order_sum == d_sg
+                    return PathSample((hit, likelihood, order_sum, steps, left, dominant))
+            node = nxt
         raise ConvergenceError("path exceeded the step cap")
 
 
@@ -322,11 +339,7 @@ class Estimate:
 
 
 def _run_stream(
-    model: MarkovModel,
-    com: ChangeOfMeasure,
-    n: int,
-    seed: int,
-    worker: int,
+    model: MarkovModel, com: ChangeOfMeasure, n: int, seed: int, worker: int,
     deadline: float | None = None,
 ) -> tuple[int, float, float, int, int, float, float]:
     """One RNG stream's moments: paths, sums of X and X^2 with X = L * 1[hit],
@@ -341,13 +354,13 @@ def _run_stream(
     for _ in range(n):
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        path = sample(rng)
-        x = path.likelihood if path.hit_goal else 0.0
+        hit, likelihood, _order_sum, _steps, _left, dominant = sample(rng)
+        x = likelihood if hit else 0.0
         count += 1
         sum1 += x
         sum2 += x * x
-        hits += path.hit_goal
-        if not path.dominant:
+        hits += hit
+        if not dominant:
             m += 1
             nd_sum1 += x
             nd_sum2 += x * x
@@ -403,34 +416,20 @@ def run_estimator(
         raise ConfigError("no replications were run")
     p_delta = com.result.p_delta if com.is_zva else None
     q_delta = compute_q_delta(com) if variant == "plusplus" else None
-    if variant == "plain":
-        mean = sum1 / n
-        var = _sample_variance(sum1, sum2, n)
+    if variant != "plusplus":  # plus: p_delta + the non-dominant X over n
+        s1, s2 = (sum1, sum2) if variant == "plain" else (nd_sum1, nd_sum2)
+        mean = s1 / n if variant == "plain" else p_delta + s1 / n
+        var = _sample_variance(s1, s2, n)
         hw = Z_95 * math.sqrt(var / n) if var is not None else None
-    elif variant == "plus":
-        mean = p_delta + nd_sum1 / n
-        var = _sample_variance(nd_sum1, nd_sum2, n)
-        hw = Z_95 * math.sqrt(var / n) if var is not None else None
-    else:  # plusplus
+    else:
         q_psi = 1.0 - q_delta
         y = nd_sum1 / m if m > 0 else 0.0
         mean = p_delta + q_psi * y
-        if m >= 2:
-            var_l = _sample_variance(nd_sum1, nd_sum2, m)
-            hw = Z_95 * math.sqrt(q_psi * var_l / n)
-        else:
-            hw = None
+        var_l = _sample_variance(nd_sum1, nd_sum2, m)
+        hw = Z_95 * math.sqrt(q_psi * var_l / n) if var_l is not None else None
     return Estimate(
-        method=com.kind,
-        variant=variant,
-        mean=mean,
-        ci_half_width=hw,
-        n_runs=n,
-        n_hits=hits,
-        n_nondominant=m,
-        p_delta=p_delta,
-        q_delta=q_delta,
-        wall_time_s=wall,
+        method=com.kind, variant=variant, mean=mean, ci_half_width=hw, n_runs=n,
+        n_hits=hits, n_nondominant=m, p_delta=p_delta, q_delta=q_delta, wall_time_s=wall,
     )
 
 

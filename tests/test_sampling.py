@@ -88,11 +88,9 @@ def test_zva_dbar_pinned_transition_probability():
     """
     model = make_birth_death_chain(5, 0.1)
     com = com_for("zva-dbar", model)
-    sampler = Sampler(model, com)
-    ix = com.result.chain.indexer
-    cum = sampler._compile(ix.lookup(2), context=True)[0]
-    targets, _probs, _orders = sampler.chain.row(ix.lookup(2))
-    q_up = cum[0] if targets[0] == ix.lookup(3) else cum[1] - cum[0]
+    chain = com.result.chain
+    row = chain.row(chain.indexer.lookup(2))
+    q_up = com.distribution(row, True)[row[0].index(chain.indexer.lookup(3))]
     assert q_up == pytest.approx(0.001 / (0.001 + 9e-5), rel=1e-12)
 
 
@@ -100,15 +98,14 @@ def test_zva_delta_equals_dbar_on_the_chain():
     """The chain has a unique dominant path, so v differs only by a
     constant factor per state and both flavors emit identical q."""
     model = make_birth_death_chain(5, 0.1)
-    s_dbar = Sampler(model, com_for("zva-dbar", model))
-    s_delta = Sampler(model, com_for("zva-delta", model))
+    dbar, delta = com_for("zva-dbar", model), com_for("zva-delta", model)
+
+    def q(com, state):
+        chain = com.result.chain
+        return com.distribution(chain.row(chain.indexer.lookup(state)), True)
+
     for state in (1, 2, 3, 4):
-        assert s_dbar._compile(
-            s_dbar.result.chain.indexer.lookup(state), True
-        )[0] == pytest.approx(
-            s_delta._compile(s_delta.result.chain.indexer.lookup(state), True)[0],
-            rel=1e-12,
-        )
+        assert q(dbar, state) == pytest.approx(q(delta, state), rel=1e-12)
 
 
 def test_measure_validation():
@@ -123,6 +120,33 @@ def test_measure_validation():
 
 # ------------------------------------------------------------ sampling
 
+class Revisit(MarkovModel):
+    """Paths re-enter s as an ordinary state, from b inside Lambda and from
+    the frontier state c (d(s, c) = 3 > d(s, g) = 2) after leaving it."""
+
+    emits_rates = False
+    epsilon = 0.3
+
+    @property
+    def initial_state(self):
+        return "s"
+
+    def is_goal(self, state):
+        return state == "g"
+
+    def is_taboo(self, state):
+        return state == "t"
+
+    def successors(self, state):
+        e = self.epsilon
+        return {
+            "s": (("a", "t"), (0.5, 0.5), (0, 0)),
+            "a": (("g", "b", "t"), (e * e, e, 1 - e - e * e), (2, 1, 0)),
+            "b": (("g", "s", "c", "t"), (e, 0.5, e * e, 0.5 - e - e * e), (1, 0, 2, 0)),
+            "c": (("s", "g", "t"), (0.5, e, 0.5 - e), (0, 1, 0)),
+        }[state]
+
+
 REPLAY_CASES = [
     # igbs switches context on the deferred model, and no path leaves Lambda
     *(
@@ -136,6 +160,12 @@ REPLAY_CASES = [
             id=f"redundancy-{kind}",
         )
         for kind in ("zva-dbar", "zva-delta")
+    ),
+    # and here they also re-enter s, inside and outside Lambda
+    *(
+        pytest.param(Revisit, kind, 300, kind in ("zva-dbar", "zva-delta"),
+                     id=f"revisit-{kind}")
+        for kind in ("mc", "bfb", "igbs", "zva-dbar", "zva-delta")
     ),
 ]
 
@@ -469,6 +499,57 @@ def test_fcfs_estimates_are_pinned(kind):
     est = run_estimator(model, com, n_runs=2000, seed=0, workers=1)
     got = (est.mean.hex(), est.ci_half_width.hex(), est.n_hits, est.n_nondominant)
     assert got == PINNED_FCFS[kind]
+
+
+#: (model, measure, paths) -> float.hex of the sums of X and X^2, X = L * 1[hit],
+#: then hits, paths that left Lambda, dominant paths, steps and the sum of
+#: the order sums, over paths drawn one by one from ``Sampler.sample`` with
+#: random.Random(0).  fcfs steps into frontier rows and into targets that no
+#: phase classified, and hits g after leaving Lambda; on redundancy 71 of
+#: 300 paths leave Lambda; on Revisit paths re-enter s as an ordinary state
+PINNED_PATHS = {
+    ("fcfs", "bfb", 2000): (
+        "0x1.9abbd26ae633cp-3", "0x1.e2b295071c4e2p-10", 401, 0, 0, 12019, 6395),
+    ("fcfs", "zva-delta", 2000): (
+        "0x1.07e99871a05d2p-2", "0x1.3d6a8f80c036cp-14", 1805, 198, 1657, 7001, 4420),
+    ("redundancy", "zva-delta", 300): (
+        "0x1.07e02a521f278p-55", "0x1.c611ef1657a60p-118", 229, 71, 22, 9525, 6760),
+    ("revisit", "mc", 2000): (
+        "0x1.7c00000000000p+7", "0x1.7c00000000000p+7", 190, 0, 0, 3563, 638),
+    ("revisit", "bfb", 2000): (
+        "0x1.61a6083ce5652p+7", "0x1.7efedb7488704p+7", 336, 0, 0, 3451, 980),
+    ("revisit", "igbs", 2000): (
+        "0x1.8c00000000000p+7", "0x1.6260000000000p+13", 5, 0, 0, 3005, 16),
+    ("revisit", "zva-dbar", 2000): (
+        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468, 4247),
+    ("revisit", "zva-delta", 2000): (
+        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468, 4247),
+}
+
+PIN_MODELS = {
+    "fcfs": lambda: make_dds("fcfs", 0.01),
+    "redundancy": lambda: two_type_basic(20, 20, 1.0, 0.1),
+    "revisit": Revisit,
+}
+
+
+@pytest.mark.parametrize("name, kind, paths", list(PINNED_PATHS))
+def test_sampled_paths_are_pinned(name, kind, paths):
+    model = PIN_MODELS[name]()
+    sampler = Sampler(model, com_for(kind, model))
+    rng = random.Random(0)
+    sum1 = sum2 = 0.0
+    counts = [0] * 5
+    for _ in range(paths):
+        s = sampler.sample(rng)
+        x = s.likelihood if s.hit_goal else 0.0
+        sum1 += x
+        sum2 += x * x
+        for j, value in enumerate(
+            (s.hit_goal, s.left_lambda, s.dominant, s.steps, s.order_sum)
+        ):
+            counts[j] += value
+    assert (sum1.hex(), sum2.hex(), *counts) == PINNED_PATHS[name, kind, paths]
 
 
 # ----------------------------------------------------------- statistics
