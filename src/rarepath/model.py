@@ -66,7 +66,8 @@ class MarkovModel(abc.ABC):
 
     @abc.abstractmethod
     def successors(self, state: State) -> tuple[Sequence, Sequence, Sequence]:
-        """(targets, weights, orders) of ``state``, position by position."""
+        """(targets, weights, orders) of ``state``, position by position;
+        the same row for the same state on every call."""
 
 
 def embedded_row(
@@ -167,7 +168,10 @@ class Chain:
 
     Each row is fetched on first request, straight from
     ``model.successors``, and kept unless ``take`` reads it first; a row
-    set by ``set_override`` (cycle removal) replaces the model's.  A
+    set by ``set_override`` (cycle removal) replaces the model's.  Only
+    the last row fetched keeps its target descriptors; an unclassified
+    target of another row is re-read from ``model.successors``, which
+    gives the same row each time, so indices do not depend on it.  A
     descriptor met as a target is classified when first needed: plain
     ones get dense indices in first-discovery order, taboo ones become
     indexer aliases of the merged TABOO node.  Goal targets map to the
@@ -207,8 +211,8 @@ class Chain:
         #: rows set by cycle removal, the same objects as in ``_rows``
         self.overrides: dict[int, Row] = {}
         self._rows: dict[int, Row] = {}
-        #: target descriptors of the fetched rows with UNSEEN targets
-        self._unseen: dict[int, Sequence[State]] = {}
+        #: (index, target descriptors) of the last row fetched
+        self._last: tuple[int, Sequence[State]] = (-1, ())
 
     def __len__(self) -> int:
         return len(self.indexer)
@@ -247,7 +251,7 @@ class Chain:
         return self.indexer.index(state)
 
     def fetch(self, idx: int) -> Row:
-        """The row of ``idx``; targets not classified yet read UNSEEN."""
+        """The row of ``idx``, kept; targets not classified yet read UNSEEN."""
         row = self._rows.get(idx)
         if row is None:
             if self.is_terminal(idx):
@@ -255,26 +259,34 @@ class Chain:
             states, probs, orders = embedded_row(self.model, self.indexer.state(idx))
             orders = tuple(orders)
             orders = self._orders.setdefault(orders, orders)
-            targets = self._known(states)
-            if UNSEEN in targets:
-                self._unseen[idx] = tuple(states)
-            row = self._rows[idx] = (targets, array("d", probs), orders)
+            self._last = idx, states
+            row = self._rows[idx] = (self._known(states), array("d", probs), orders)
         return row
 
+    def _states(self, idx: int) -> Sequence[State]:
+        """Target descriptors of the fetched row of ``idx``, re-read unless last."""
+        last, states = self._last
+        if last != idx:
+            state = self.indexer.state(idx)
+            states = self.model.successors(state)[0]
+            if len(states) != len(self._rows[idx][0]):
+                raise ModelError(f"successors of {state!r} changed between calls")
+        return states
+
     def target(self, idx: int, i: int) -> int:
-        """Index of the ``i``-th target of the fetched row of ``idx``."""
+        """Index of target ``i`` of the fetched row of ``idx``, re-read unless last."""
         targets = self._rows[idx][0]
         z = targets[i]
         if z == UNSEEN:
-            z = targets[i] = self._classify(self._unseen[idx][i])
+            z = targets[i] = self._classify(self._states(idx)[i])
         return z
 
     def row(self, idx: int) -> Row:
         """The row of ``idx`` with every target classified."""
         row = self.fetch(idx)
-        states = self._unseen.pop(idx, None)
-        if states is not None:
-            targets = row[0]
+        targets = row[0]
+        if UNSEEN in targets:
+            states = self._states(idx)
             for i, z in enumerate(targets):
                 if z == UNSEEN:
                     targets[i] = self._classify(states[i])
@@ -300,16 +312,15 @@ class Chain:
         fetched row's own, so a folded edge keeps its probability and
         order.  Taboo targets stay apart from g.  A target not classified
         yet stays so: a folded edge needs only the taboo predicate (and the
-        goal predicate for a taboo target).  The fetched row is kept for
-        later use.
+        goal predicate for a taboo target), re-read unless the row was last.
+        The fetched row is kept for later use.
         """
-        fresh = idx not in self._rows
         targets, probs, orders = self.fetch(idx)
-        states = self._unseen.get(idx)
         goal, taboo = self.goal_index, self.taboo_index
-        if states is not None:
+        if UNSEEN in targets:
+            states = self._states(idx)
             # a target of a row fetched earlier may be classified since
-            known = targets if fresh else self._known(states)
+            known = self._known(states)
             model = self.model
             targets = [
                 z if z != UNSEEN else y if y != UNSEEN
@@ -322,4 +333,3 @@ class Chain:
     def set_override(self, idx: int, row: Row) -> None:
         """Replace the row of ``idx`` (cycle removal); ``overrides`` keeps it."""
         self._rows[idx] = self.overrides[idx] = row
-        self._unseen.pop(idx, None)

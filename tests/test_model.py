@@ -10,6 +10,8 @@ from rarepath.errors import ModelError
 from rarepath.model import (
     GOAL,
     TABOO,
+    UNSEEN,
+    Chain,
     MarkovModel,
     StateIndexer,
     embedded_row,
@@ -183,6 +185,64 @@ def test_resolve_rejects_dead_end():
 
     with pytest.raises(ModelError):
         embedded_row(DeadEnd(), "a")
+
+
+def test_chain_rereads_the_targets_of_an_older_row():
+    """Only the last fetched row's descriptors are kept: a target of an
+    older row is classified from a re-read of its state, the row kept as
+    it was."""
+
+    class Counting(TinyModel):
+        calls = 0
+
+        def successors(self, state):
+            self.calls += 1
+            return super().successors(state)
+
+    model = Counting()
+    chain = Chain(model)
+    a = chain.s_index
+    row = chain.fetch(a)
+    b = chain.target(a, 0)
+    assert model.calls == 1  # the last row fetched needs no re-read
+    chain.row(b)
+    assert model.calls == 2 and row[0][1] == UNSEEN
+    assert chain.target(a, 1) == chain.goal_index
+    assert model.calls == 3 and chain.fetch(a) is row
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda chain, a: chain.target(a, 1),
+        lambda chain, a: chain.row(a),
+        lambda chain, a: chain.folded_row(a, frozenset()),
+    ],
+    ids=["target", "row", "folded_row"],
+)
+def test_chain_rejects_a_row_that_changes_between_calls(read):
+    """A re-read row must be the one the chain holds; one of another length
+    names its state instead of giving a wrong target."""
+
+    class Flipping(TinyModel):
+        """State "a" has a row of two targets and one of three, call by call."""
+
+        calls = 0
+
+        def successors(self, state):
+            if state != "a":
+                return ["a"], [1.0], [0]
+            self.calls += 1
+            if self.calls % 2:
+                return ["b", "g"], [1.0, self.epsilon], [0, 1]
+            return ["b", "c", "g"], [1.0, 1.0, self.epsilon], [0, 0, 1]
+
+    chain = Chain(Flipping())
+    a = chain.s_index
+    chain.fetch(a)
+    chain.row(chain.target(a, 0))  # "b" is now the last row fetched
+    with pytest.raises(ModelError, match="'a'"):
+        read(chain, a)
 
 
 def test_indexer_is_a_bijection():

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from rarepath.errors import ConfigError, ConvergenceError
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import MarkovModel
+from rarepath.model import UNSEEN, Chain, MarkovModel, embedded_row
 from rarepath.preproc import preprocess
 from rarepath.sampling import (
     ChangeOfMeasure,
@@ -175,11 +177,12 @@ def test_likelihood_recomputes_from_trajectory(factory, kind, paths, leaves):
     """Each path's trajectory, replayed from its draws with q from
     ``distribution`` and the context rules written out here, gives the
     same L = prod p/q, order sum, length and exit from Lambda as the
-    compiled steps."""
+    compiled steps.  The replay reads a chain of its own, so the sampler
+    resolves every path's targets lazily, itself."""
     model = factory()
+    sampler = Sampler(model, com_for(kind, model))
     com = com_for(kind, model)
-    sampler = Sampler(model, com)
-    chain = sampler.chain
+    chain = com.result.chain if com.is_zva else Chain(model)
     rng = random.Random(7)
     left = 0
     for _ in range(paths):
@@ -229,9 +232,16 @@ def test_sample_path_terminates_and_labels_dominance():
     assert hits > 400  # ZVA drives nearly every path to the goal
 
 
-def test_estimate_expands_only_states_preprocessing_never_resolved():
-    """The sampler reads the rows preprocessing resolved from its chain,
-    and resolves each further state once."""
+def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
+    """The sampler reads the rows preprocessing embedded from its chain and
+    embeds each further row once.  The chain keeps the target descriptors
+    of the last row fetched only, so every other model call re-reads a held
+    row, to resolve one of its targets."""
+    embedded = []
+
+    def counting_embedded_row(model, state):
+        embedded.append(state)
+        return embedded_row(model, state)
 
     class CountingDds(DdsModel):
         def __init__(self, *args):
@@ -242,15 +252,43 @@ def test_estimate_expands_only_states_preprocessing_never_resolved():
             self.expanded.append(state)
             return super().successors(state)
 
+    monkeypatch.setattr("rarepath.model.embedded_row", counting_embedded_row)
     model = CountingDds("fcfs", 0.01)
     result = preprocess(model)
-    resolved = set(model.expanded)
+    assert model.expanded == embedded  # preprocessing re-reads nothing
+    chain, resolved = result.chain, set(embedded)
+
+    def unseen(state):
+        return chain.fetch(chain.indexer.lookup(state))[0].count(UNSEEN)
+
+    before = {x: unseen(x) for x in resolved}
     model.expanded.clear()
+    embedded.clear()
     com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
     run_estimator(model, com, n_runs=2000, seed=0)
-    assert model.expanded, "no path left the resolved states"
-    assert not resolved.intersection(model.expanded)
-    assert len(set(model.expanded)) == len(model.expanded)
+    assert embedded, "no path left the resolved states"
+    assert not resolved.intersection(embedded)
+    assert len(set(embedded)) == len(embedded)
+    rereads = Counter(model.expanded) - Counter(embedded)
+    assert rereads, "no path resolved a target of an older row"
+    assert rereads.total() == len(model.expanded) - len(embedded)
+    for x, n in rereads.items():
+        row = chain.fetch(chain.indexer.lookup(x))[0]
+        assert n <= before.get(x, len(row)) - unseen(x), x
+
+
+def test_bfb_estimate_memory_is_bounded():
+    """A sampler's chain keeps the target descriptors of its last fetched
+    row only: an 8.5 MiB traced peak here, 19.5 MiB when it kept every
+    row's."""
+    model = make_dds("fcfs", 0.01)
+    tracemalloc.start()
+    try:
+        run_estimator(model, ChangeOfMeasure("bfb"), n_runs=10_000, seed=0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_mc_hits_match_raw_frequency():
