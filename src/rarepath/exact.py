@@ -9,7 +9,8 @@ solve, so large spaces stay fast, and brackets pi from below and above,
 so the solve proves where it stops.  Serves as the reference oracle that
 the simulation estimators are validated against.  Unlike the estimators it
 needs the whole space, so it keeps none of it as rows: each row is read
-once into two flat arrays, from which numpy assembles the matrix.
+once into flat arrays, from which numpy assembles the two triangles the
+sweeps read, L and U; no matrix that holds both is ever built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from array import array
 from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix, tril, triu
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve_triangular
 
 from rarepath.errors import ConvergenceError, StateBudgetExceeded
@@ -49,10 +50,10 @@ def exact_hitting_probability(
     Matrix row i is chain index i: the indices are walked upward while
     ``chain.take`` reads row i once, indexing the states it discovers
     (breadth-first from s on the model's own chain).  Goal mass goes to
-    b and self-loops to the diagonal; the other entries keep their row
-    order, duplicates summed.  g and t, and any state whose row only loops
-    on itself, get identity rows with b = 0; g and t are left out of the
-    returned map.
+    b, self-loops to the diagonal, and the other entries, in row order
+    with duplicates summed, straight to L (below the diagonal) or U (above
+    it); A = L + U is never built.  g, t and any state whose row only loops
+    on itself get identity rows with b = 0; g and t stay out of the map.
 
     Each sweep solves two columns, x_lo from 0 and x_hi from 1 on the
     states that reach g (``b > 0`` grown through the edges into it) and 0
@@ -89,20 +90,25 @@ def exact_hitting_probability(
     np.subtract.at(diag, r[loop], p[loop])
     # a state that only loops on itself never reaches g: identity, b = 0
     diag[np.bincount(r[loop], minlength=n) == sizes] = 1.0
-    keep = ~(hit | loop | (z == taboo))
-    # each row's entries in row order, its diagonal last
-    ends = np.cumsum(np.bincount(r[keep], minlength=n))
+    # L: the entries below the diagonal in row order, each row's diagonal
+    # last; U: those above it.  Neither holds a goal, taboo or self-loop entry.
+    off = ~hit & (z != taboo)
+    below, above = off & (z < r), off & (z > r)
+    ends, starts = (
+        np.cumsum(np.bincount(r[m], minlength=n), dtype=np.intc) for m in (below, above)
+    )
+    del hit, loop, off, r
     at = np.arange(n, dtype=np.intc)
-    rows, cols = np.insert(r[keep], ends, at), np.insert(z[keep], ends, at)
-    a = csr_matrix((np.insert(-p[keep], ends, diag), (rows, cols)), shape=(n, n))
-    del targets, probs, z, p, sizes, r, hit, loop, keep, rows, cols
-    # off the diagonal a holds -p: a row reads < 0 iff it has an edge into reach
+    data, cols = np.insert(-p[below], ends, diag), np.insert(z[below], ends, at)
+    lower = csr_matrix((data, cols, np.r_[0, ends + at + 1]), shape=(n, n))
+    upper = csr_matrix((-p[above], z[above], np.r_[0, starts]), shape=(n, n))
+    del targets, probs, z, p, sizes, below, above, data, cols
+    lower.sum_duplicates()
+    upper.sum_duplicates()
+    # off the diagonal L and U hold -p: a row reads < 0 iff it has an edge into reach
     reach = b > 0
-    while not np.array_equal(grown := reach | (a @ reach < 0), reach):
+    while not np.array_equal(grown := reach | (lower @ reach + upper @ reach < 0), reach):
         reach = grown
-    lower = tril(a, k=0, format="csr")
-    upper = triu(a, k=1, format="csr")
-    del a
     x = np.column_stack([np.zeros(n), reach])
     for _ in range(MAX_SWEEPS):
         x = spsolve_triangular(lower, b[:, None] - upper @ x, lower=True)

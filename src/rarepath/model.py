@@ -315,12 +315,13 @@ class Chain:
         goal predicate for a taboo target), re-read unless the row was last.
         The fetched row is kept for later use.
         """
+        held = idx in self._rows
         targets, probs, orders = self.fetch(idx)
         goal, taboo = self.goal_index, self.taboo_index
         if UNSEEN in targets:
             states = self._states(idx)
             # a target of a row fetched earlier may be classified since
-            known = self._known(states)
+            known = self._known(states) if held else targets
             model = self.model
             targets = [
                 z if z != UNSEEN else y if y != UNSEEN

@@ -64,6 +64,9 @@ VARIANTS = ("plain", "plus", "plusplus")
 FAILURE_SHARE = 0.5
 #: igbs: the failure share after an order-0 step
 IGBS_DELTA = 1.0 / 100.0
+#: a path's step cap, and the step numbers under it, built once
+MAX_STEPS = 10_000_000
+_STEPS = range(1, MAX_STEPS + 1)
 
 
 @dataclass(frozen=True)
@@ -267,14 +270,14 @@ class Sampler:
         self._steps[node][1][i] = nxt
         return nxt
 
-    def sample(self, rng: random.Random, max_steps: int = 10_000_000) -> PathSample:
+    def sample(self, rng: random.Random, max_steps: int = MAX_STEPS) -> PathSample:
         """One path from s into g or t; the per-path unit that ``perfbench``
         wraps and times.  A ZVA path that ends in a node whose context is
         off has left Lambda."""
         table, pairs, resolve, is_zva, d_sg = self._consts
         draw, bisect = rng.random, bisect_right
         likelihood, order_sum, node = 1.0, 0, 0
-        for steps in range(1, max_steps + 1):
+        for steps in _STEPS if max_steps == MAX_STEPS else range(1, max_steps + 1):
             try:
                 cum, nodes, ratios, orders = table[node]
             except (IndexError, TypeError):  # past the end or None

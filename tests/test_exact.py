@@ -235,8 +235,9 @@ def test_reduced_solve_keeps_shared_rows_and_stores_no_others(factory):
 
 
 def test_full_dds_solve_memory_is_bounded():
-    """The oracle holds no chain rows, and its sweeps hold neither A nor
-    |A|: a 27.5 MiB traced peak, 55.6 MiB when it kept every row."""
+    """The oracle holds no chain rows and builds L and U straight from its
+    flat rows, never A: a 19.8 MiB traced peak, 27.5 MiB when it built A
+    and copied its triangles out, 55.6 MiB when it kept every row."""
     model = make_dds("dedicated", 0.01)
     tracemalloc.start()
     try:
@@ -244,7 +245,55 @@ def test_full_dds_solve_memory_is_bounded():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 35 * 2**20
+    assert peak <= 25 * 2**20
+
+
+#: rows that repeat targets below and above the diagonal, with self-loops
+_REPEATS = {
+    0: ([1, 2, 1, "g", 0, 3, "t"], [0.2, 0.1, 0.15, 0.05, 0.3, 0.1, 0.1]),
+    1: ([0, 2, 0, 1, "g2", "t"], [0.25, 0.2, 0.15, 0.2, 0.1, 0.1]),
+    2: ([3, 1, 3, 0, 2, "t2", "g"], [0.1, 0.2, 0.15, 0.1, 0.25, 0.1, 0.1]),
+    3: ([2, 0, 2, 3, 1, "g"], [0.2, 0.1, 0.1, 0.3, 0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize(
+    "factory, pi_s, values",
+    [
+        pytest.param(
+            lambda: two_type_basic(20, 20, 1.0, 0.1),
+            "0x1.d83c94fb6d2b0p-64",
+            {
+                (10, 10): "0x1.b7cdfd9db8ef0p-33",
+                (5, 12): "0x1.5798f06385a22p-27",
+                (19, 19): "0x1.851eb851eb852p-3",
+            },
+            id="two-type-20",
+        ),
+        pytest.param(
+            lambda: two_type_deferred(epsilon=0.1),
+            "0x1.b3692e08c68a8p-4",
+            {(1, 0): "0x1.9e59f30023aa5p-1", (2, 0): "0x1.1d0a4a9127213p-7"},
+            id="deferred",
+        ),
+        pytest.param(
+            lambda: TableModel(_REPEATS),
+            "0x1.e4129e41290c2p-2",
+            {
+                1: "0x1.f6b0df6b0d49bp-2",
+                2: "0x1.094f2094f1bb0p-1",
+                3: "0x1.253c8253c7db9p-1",
+            },
+            id="repeated-targets",
+        ),
+    ],
+)
+def test_full_chain_solve_pinned(factory, pi_s, values):
+    """Full-chain solves, bit for bit: the way L and U are assembled (the
+    order in which duplicate entries are summed) is part of the result."""
+    solved_s, pi = exact_hitting_probability(factory())
+    assert solved_s.hex() == pi_s
+    assert {state: pi[state].hex() for state in values} == values
 
 
 def test_state_cap_enforced():
