@@ -14,11 +14,14 @@ rows in one format (``model.Row``):
   dominant (minimal-order) paths from x to g, over Lambda plus its direct
   frontier Gamma.  Frontier states are resolved with their own rows;
   only the states one step beyond Lambda + Gamma are treated as reaching g
-  (never expanded or indexed), so every state that can reach g keeps a positive value
-  and paths leaving Lambda are never starved of sampling mass.
+  (never expanded or indexed), so every state that can reach g keeps a
+  positive value and paths leaving Lambda are never starved of sampling
+  mass.
 
-Every phase visits states in an order fixed by their discovery indices
-and row positions, so results are deterministic.
+Both uses of an order-0 cycle, the exit distribution and the frontier
+values, come from one direct solve of the absorbing system
+(``solve_absorbing``).  Every phase visits states in an order fixed by
+their discovery indices and row positions, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 from dataclasses import dataclass
 from typing import Mapping
@@ -42,52 +45,49 @@ from rarepath.orders import INFINITY, Order
 DEFAULT_STATE_BUDGET = 1_000_000
 
 
-def solve_exit_distribution(
-    rows: Mapping[int, Row], members: list[int], exits: list[int]
-) -> dict[int, dict[int, float]]:
-    """Eventual exit probabilities of an order-0 cycle.
+def solve_absorbing(
+    rows: Mapping[int, Row],
+    members: list[int],
+    positions: Mapping[int, list[int]] | None = None,
+) -> tuple[list[int], np.ndarray]:
+    """Probabilities of leaving a set of states through each of its exits.
 
-    ``rows`` holds every member's row; a target that is a member is
-    internal, any other must be one of ``exits``.  For every cycle member
-    x and exit state z, solves the absorbing system
+    Reads the row positions ``positions[x]`` of every member x (all of
+    ``rows[x]`` by default); a target that is a member is internal, any
+    other is an exit.  Returns the sorted exits and M, one row per member
+    in ``members``' order and one column per exit, with
 
-        mu[x][z] = p(x, z) + sum over members x2 of p(x, x2) * mu[x2][z]
+        M[x][z] = p(x, z) + sum over members x2 of p(x, x2) * M[x2][z],
 
-    directly as (I - P_internal) M = D.  A fixed-point iteration would need
-    on the order of 1/p_exit sweeps when the exit probabilities are tiny,
-    so the dense solve is the only numerically safe option.  Hitting
-    probabilities of the surrounding chain are unchanged when each member's
-    row is replaced by its exit distribution.
+    from one sparse LU solve of (I - P) M = D.  The solve is direct because
+    a fixed-point iteration, and the oracle's Gauss-Seidel bracket, need on
+    the order of 1/p_exit sweeps when the mass leaving the set is tiny; it
+    is sparse because member sets have no size bound.
     """
     pos = {x: i for i, x in enumerate(members)}
-    n, k = len(members), len(exits)
-    a = np.eye(n)
-    d = np.zeros((n, k))
-    exit_pos = {z: j for j, z in enumerate(exits)}
-    for x in members:
-        i = pos[x]
+    n = len(members)
+    stay = [(1.0, i, i) for i in range(n)]  # the entries of I - P
+    leave = []  # (member position, exit, p)
+    for i, x in enumerate(members):
         targets, probs, _orders = rows[x]
-        for z, p in zip(targets, probs):
-            j = pos.get(z)
-            if j is not None:
-                a[i, j] -= p
+        for k in range(len(targets)) if positions is None else positions[x]:
+            z, p = targets[k], probs[k]
+            if z in pos:
+                stay.append((-p, i, pos[z]))
             else:
-                d[i, exit_pos[z]] += p
-    try:
-        m = np.linalg.solve(a, d)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"exit-distribution solve failed: {exc}") from None
-    mu = {x: {z: float(m[pos[x], exit_pos[z]]) for z in exits} for x in members}
-    for x in members:
-        total = reduce(add, mu[x].values(), 0.0)
-        # the system gets ill-conditioned as the exit mass shrinks (cond
-        # ~ 1/p_exit), so allow a commensurate residual and renormalize
-        if abs(total - 1.0) > 1e-6:
-            raise ConvergenceError(
-                f"exit probabilities of cycle member sum to {total}, not 1"
-            )
-        mu[x] = {z: p / total for z, p in mu[x].items()}
-    return mu
+                leave.append((i, z, p))
+    exits = sorted({z for _i, z, _p in leave})
+    if not exits:
+        raise ModelError("order-0 cycle with no exit transitions")
+    column = {z: j for j, z in enumerate(exits)}
+    d = np.zeros((n, len(exits)))
+    for i, z, p in leave:
+        d[i, column[z]] += p
+    data, ri, ci = zip(*stay)
+    m = spsolve(csc_matrix((data, (ri, ci)), shape=(n, n)), d).reshape(d.shape)
+    if not np.all(np.isfinite(m)):
+        raise ConvergenceError("absorbing solve of an order-0 cycle failed")
+    return exits, m
 
 
 def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
@@ -95,63 +95,59 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
 
     Computes the order-0 strongly connected component L containing the
     trigger (forward closure intersected with backward closure), solves the
-    exit distribution, and overrides every member's row with its exits.
+    exit distribution, and overrides every member's row with its exits,
+    which preserves all hitting probabilities of the surrounding chain.
     Replacement orders are the cheapest exit order reachable from the
     component, shifted so the most likely exit has order 0.  Returns the
     sorted member list, or None for a benign trigger (no actual cycle).
     """
-    # forward order-0 closure
-    closure = {trigger}
+    # forward order-0 closure, each closure row read once; rev holds its
+    # order-0 edges reversed
+    rows: dict[int, Row] = {}
+    rev: dict[int, list[int]] = {trigger: []}
     stack = [trigger]
     while stack:
         x = stack.pop()
         if chain.is_terminal(x):
             continue
-        targets, _probs, orders = chain.row(x)
+        rows[x] = targets, _probs, orders = chain.row(x)
         for z, r in zip(targets, orders):
-            if r == 0 and z not in closure:
-                closure.add(z)
-                stack.append(z)
-    # backward order-0 closure within the forward closure
-    rev: dict[int, list[int]] = {x: [] for x in closure}
-    for x in closure:
-        if chain.is_terminal(x):
-            continue
-        targets, _probs, orders = chain.row(x)
-        for z, r in zip(targets, orders):
-            if r == 0 and z in closure:
+            if r == 0:
+                if z not in rev:
+                    rev[z] = []
+                    stack.append(z)
                 rev[z].append(x)
-    members_set = {trigger}
+    # the states with an order-0 path back to the trigger: empty unless the
+    # trigger lies on a cycle, a self-loop included
+    members_set: set[int] = set()
     stack = [trigger]
     while stack:
-        x = stack.pop()
-        for z in rev[x]:
+        for z in rev[stack.pop()]:
             if z not in members_set:
                 members_set.add(z)
                 stack.append(z)
+    if not members_set:
+        return None
     members = sorted(members_set)
-    if len(members) == 1:
-        targets, _probs, orders = chain.row(trigger)
-        if (trigger, 0) not in zip(targets, orders):
-            return None
-    rows = {x: chain.row(x) for x in members}
-    exit_order: dict[int, int] = {}
-    for targets, _probs, orders in rows.values():
-        for z, r in zip(targets, orders):
-            if z not in members_set and r < exit_order.get(z, INFINITY):
-                exit_order[z] = r
-    if not exit_order:
-        raise ModelError("order-0 cycle with no exit transitions")
-    exits = sorted(exit_order)
-    base = min(exit_order.values())
-    mu = solve_exit_distribution(rows, members, exits)
+    exits, m = solve_absorbing(rows, members)
+    exit_order = dict.fromkeys(exits, INFINITY)
     for x in members:
-        kept = [z for z in exits if mu[x][z] > 0.0]
-        chain.set_override(x, (
-            kept,
-            array("d", [mu[x][z] for z in kept]),
-            tuple(exit_order[z] - base for z in kept),
-        ))
+        targets, _probs, orders = rows[x]
+        for z, r in zip(targets, orders):
+            if z not in members_set and r < exit_order[z]:
+                exit_order[z] = r
+    base = min(exit_order.values())
+    for x, mu in zip(members, m.tolist()):
+        total = reduce(add, mu, 0.0)
+        # the system gets ill-conditioned as the exit mass shrinks (cond
+        # ~ 1/p_exit), so allow a commensurate residual and renormalize
+        if abs(total - 1.0) > 1e-6:
+            raise ConvergenceError(
+                f"exit probabilities of cycle member sum to {total}, not 1"
+            )
+        kept, probs = zip(*[(z, p / total) for z, p in zip(exits, mu) if p / total > 0.0])
+        orders = tuple(exit_order[z] - base for z in kept)
+        chain.set_override(x, (list(kept), array("d", probs), orders))
     return members
 
 
@@ -243,9 +239,11 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     them from g: a state follows once its last dominant successor is done
     (``processing_order``).  Cycle removal left no order-0 cycle inside
     Lambda, but frontier states may still form one; the pass never reaches
-    the states caught in or behind such a cycle, whose values solve the
-    linear system above in one call.  States that cannot reach g come
-    last, with v = 0.
+    the states caught in or behind such a cycle.  Each has a dominant path
+    out of their set, so I - P is non-singular and their v is M v(exits):
+    M holds the probabilities of leaving along dominant edges
+    (``solve_absorbing``), and every exit's v is known.  States that cannot
+    reach g come last, with v = 0.
     """
     goal = chain.goal_index
     taboo = chain.taboo_index
@@ -312,44 +310,12 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
                 done.append(y)
     rest = [x for x in dominant if x not in v]
     if rest:
-        v.update(_solve_cyclic_values(rest, rows, dominant, v))
+        exits, m = solve_absorbing(rows, rest, dominant)
+        v.update(zip(rest, (m @ np.array([v[z] for z in exits])).tolist()))
     unreachable = sorted(x for x in nodes if db[x] == INFINITY)
     v.update(dict.fromkeys(unreachable, 0.0))
     order = (goal, *done, *rest, *unreachable)
     return frozenset(gamma), db, v, order, dominant
-
-
-def _solve_cyclic_values(
-    rest, rows, dominant, known: Mapping[int, float]
-) -> dict[int, float]:
-    """Dominant-path mass of states in or behind order-0 cycles.
-
-    Solves (I - P) v = b over ``rest``, where P holds the dominant edges
-    (``dominant`` positions in ``rows``) among ``rest`` and b
-    collects the dominant edges into states whose values are ``known``.
-    Every such state has a dominant path out of ``rest``, so I - P is
-    non-singular.
-    """
-    pos = {x: i for i, x in enumerate(rest)}
-    n = len(rest)
-    b = np.zeros(n)
-    data, ri, ci = [1.0] * n, list(range(n)), list(range(n))
-    for x in rest:
-        i = pos[x]
-        targets, probs, _orders = rows[x]
-        for k in dominant[x]:
-            z, p = targets[k], probs[k]
-            j = pos.get(z)
-            if j is None:
-                b[i] += p * known[z]
-            else:
-                data.append(-p)
-                ri.append(i)
-                ci.append(j)
-    sol = np.atleast_1d(spsolve(csr_matrix((data, (ri, ci)), shape=(n, n)), b))
-    if not np.all(np.isfinite(sol)):
-        raise ConvergenceError("dominant-path values of an order-0 cycle diverge")
-    return {x: float(sol[pos[x]]) for x in rest}
 
 
 @dataclass
@@ -360,8 +326,9 @@ class PreprocessResult:
     resolved so far, the replacement rows of cycle removal
     (``chain.overrides``) and the indices of s, g and t; rows of all
     other states come from the model unchanged.  Sampling and the oracle
-    keep growing the chain; ``states_discovered`` counts the states the
-    forward phase indexed, which the backward phase does not add to.
+    keep growing the chain; ``states_discovered`` counts the non-terminal
+    states the forward phase indexed (``len(chain) - 2`` after it, as the
+    state budget counts them), which the backward phase does not add to.
     """
 
     chain: Chain
@@ -428,7 +395,7 @@ def preprocess(
     if chain.initial_is_goal:
         raise ModelError("initial state must not be a goal state")
     d_forward, lambda_set, hpc_count = forward_phase(chain)
-    states_discovered = len(chain)
+    states_discovered = len(chain) - 2  # g and t are no states of the model
     chain.state_budget = None
     return PreprocessResult(
         chain, d_forward, lambda_set, *backward_phase(chain, lambda_set),

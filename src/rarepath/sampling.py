@@ -270,14 +270,14 @@ class Sampler:
         self._steps[node][1][i] = nxt
         return nxt
 
-    def sample(self, rng: random.Random, max_steps: int = MAX_STEPS) -> PathSample:
+    def sample(self, rng: random.Random) -> PathSample:
         """One path from s into g or t; the per-path unit that ``perfbench``
         wraps and times.  A ZVA path that ends in a node whose context is
         off has left Lambda."""
         table, pairs, resolve, is_zva, d_sg = self._consts
         draw, bisect = rng.random, bisect_right
         likelihood, order_sum, node = 1.0, 0, 0
-        for steps in _STEPS if max_steps == MAX_STEPS else range(1, max_steps + 1):
+        for steps in _STEPS:
             try:
                 cum, nodes, ratios, orders = table[node]
             except (IndexError, TypeError):  # past the end or None

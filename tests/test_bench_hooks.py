@@ -38,8 +38,8 @@ def traced_redundancy_study():
 
 
 def test_traced_study_counts_every_layer():
-    # two_type_deferred has cycle removal; the DDS checks fail on it and
-    # are only counted
+    # two_type_deferred has cycle removal, two calls of which find its two
+    # order-0 cycles; the DDS checks fail on it and are only counted
     tracer, study, _ops = traced_study(
         "deferred", lambda: two_type_deferred(epsilon=0.1),
         workloads._dedicated_reference,
@@ -47,7 +47,7 @@ def test_traced_study_counts_every_layer():
     layers = tracing.layer_metrics(tracer, study.facts)
     assert layers["sampling.paths"] == PATHS
     assert layers["sampling.steps"] > 0
-    assert layers["preproc.loop_detect_calls"] >= 1
+    assert layers["preproc.loop_detect_calls"] == 2
     assert layers["exact.sweeps"] >= 1
     assert all(math.isfinite(value) for value in layers.values()), layers
 

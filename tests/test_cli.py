@@ -110,11 +110,14 @@ def test_exact_budget_caps_states(capsys):
 @pytest.mark.parametrize("command", ["preprocess", "exact"])
 @pytest.mark.parametrize("budget, expected", [("5", 0), ("4", 3)])
 def test_budget_counts_non_terminal_states(capsys, command, budget, expected):
-    """The birth-death chain has five non-terminal states; g and t are free."""
-    code, _out, err = run_cli(
+    """The birth-death chain has five non-terminal states; g and t are
+    free, and the preprocessing report does not count them either."""
+    code, out, err = run_cli(
         capsys, command, "--model", "chain", "--epsilon", "0.1", "--budget", budget
     )
     assert code == expected, err
+    if command == "preprocess" and code == 0:
+        assert json.loads(out)[0]["states_discovered"] == 5
 
 
 def test_estimate_emits_csv_schema(capsys):

@@ -5,6 +5,7 @@ conftest (Bellman-Ford relaxation, dense linear solves, budgeted path
 enumeration) or against hand-computed values on small chains.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from rarepath.errors import (
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import UNSEEN, MarkovModel
 from rarepath.orders import INFINITY
-from rarepath.preproc import preprocess, solve_exit_distribution
+from rarepath.preproc import preprocess, solve_absorbing
 from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
     make_birth_death_chain,
@@ -90,26 +91,16 @@ def test_two_type_hand_traced_backward_values():
     assert result.v_delta[ix.lookup((1, 3))] == pytest.approx(0.01 / 1.02, rel=1e-12)
 
 
-class _FrontierCycle(MarkovModel):
-    """d(s, g) = 1; the frontier b <-> c is an order-0 cycle, the
-    frontier state d has an order-0 self-loop and e cannot reach g.
-
-    v(b) = 0.1 + 0.5 v(c) and v(c) = 0.2 + 0.5 v(b) give v(b) = 4/15 and
-    v(c) = 1/3; v(d) = 0.25 / (1 - 0.5) = 1/2; v(e) = 0.
-    """
+class _Table(MarkovModel):
+    """A DTMC given as ``rows``: state -> [(target, p, order), ...],
+    starting in s; g is the goal and t the taboo state."""
 
     emits_rates = False
     epsilon = 0.1
-    rows = {
-        "s": [
-            ("g", 0.1, 1), ("t", 0.5, 0),
-            ("b", 0.1, 2), ("c", 0.1, 2), ("d", 0.1, 2), ("e", 0.1, 2),
-        ],
-        "b": [("c", 0.5, 0), ("g", 0.1, 1), ("t", 0.4, 0)],
-        "c": [("b", 0.5, 0), ("g", 0.2, 1), ("t", 0.3, 0)],
-        "d": [("d", 0.5, 0), ("g", 0.25, 1), ("t", 0.25, 0)],
-        "e": [("t", 1.0, 0)],
-    }
+
+    def __init__(self, rows=None):
+        if rows is not None:
+            self.rows = rows
 
     @property
     def initial_state(self):
@@ -125,11 +116,34 @@ class _FrontierCycle(MarkovModel):
         return tuple(zip(*self.rows[state]))
 
 
+class _FrontierCycle(_Table):
+    """d(s, g) = 1; the frontier b <-> c is an order-0 cycle, the frontier
+    state f lies behind it, d has an order-0 self-loop and e cannot reach g.
+
+    v(b) = 0.1 + 0.5 v(c) and v(c) = 0.2 + 0.5 v(b) give v(b) = 4/15 and
+    v(c) = 1/3; v(f) = 0.1 + 0.5 v(b) = 7/30; v(d) = 0.25 / (1 - 0.5) =
+    1/2; v(e) = 0.
+    """
+
+    rows = {
+        "s": [
+            ("g", 0.1, 1), ("t", 0.4, 0),
+            ("b", 0.1, 2), ("c", 0.1, 2), ("d", 0.1, 2), ("e", 0.1, 2),
+            ("f", 0.1, 2),
+        ],
+        "b": [("c", 0.5, 0), ("g", 0.1, 1), ("t", 0.4, 0)],
+        "c": [("b", 0.5, 0), ("g", 0.2, 1), ("t", 0.3, 0)],
+        "d": [("d", 0.5, 0), ("g", 0.25, 1), ("t", 0.25, 0)],
+        "e": [("t", 1.0, 0)],
+        "f": [("b", 0.5, 0), ("g", 0.1, 1), ("t", 0.4, 0)],
+    }
+
+
 def test_frontier_order_0_cycle_values_solve_exactly():
     result = preprocess(_FrontierCycle())
     ix = result.chain.indexer
-    assert {ix.state(i) for i in result.gamma_indices} == {"b", "c", "d", "e"}
-    for state, expected in (("b", 4 / 15), ("c", 1 / 3), ("d", 1 / 2)):
+    assert {ix.state(i) for i in result.gamma_indices} == {"b", "c", "d", "e", "f"}
+    for state, expected in (("b", 4 / 15), ("c", 1 / 3), ("f", 7 / 30), ("d", 1 / 2)):
         assert result.d_backward[ix.lookup(state)] == 1
         assert result.v_delta[ix.lookup(state)] == pytest.approx(expected, rel=1e-12)
     assert result.d_backward[ix.lookup("e")] == INFINITY
@@ -236,6 +250,64 @@ def test_replacement_rows_are_stochastic_with_no_zero_order_self_loop(factory):
         assert min(orders) == 0
 
 
+def _preproc_dump(result):
+    """Every override row and every v_delta, with floats as ``float.hex``."""
+    lines = [
+        f"{x} {list(targets)} {[p.hex() for p in probs]} {list(orders)}"
+        for x, (targets, probs, orders) in sorted(result.chain.overrides.items())
+    ]
+    lines += [f"{x} {v.hex()}" for x, v in sorted(result.v_delta.items())]
+    return "\n".join(lines)
+
+
+#: sha256 of ``_preproc_dump``, with the number of override rows and of v values
+PINNED_PREPROC = {
+    "deferred-0.1": (2, 11, "0ad41c07c9e4d711baf71940d2030c433adac6760a92ae8376f52ebff28bea88"),
+    "deferred-0.01": (2, 11, "ebe1e213cfcc12721ede362a5ace753ae1e7f34db6c3132b5f950002900ef9f6"),
+    "deferred-0.001": (2, 11, "9cf595a8166a955d01f4dfc16d8ce6d5323e5d0cc401a55fa5f462487ce3b9cb"),
+    "unbalanced-0.1": (3, 13, "1e06cf6a622f9914a1d418bb5f69bb2c59aa2df836a672cd685ea9b16abf971b"),
+    "unbalanced-0.01": (3, 13, "36491ae042f18081e42d71359d36d85b52023735accd8736e7037d4a0212cb13"),
+    "unbalanced-0.001": (3, 13, "11bee3e79244475ee9bed2a279dc7fce378d3e943bb0748b914a7928ce7b42d2"),
+    "frontier-cycle": (0, 8, "820f80d35a2571e9906b9d53428a6dac5446b0610322a484a117fb49266e62e3"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PREPROC)
+def test_replacement_rows_and_values_pinned(name):
+    """The absorbing solve, bit for bit, in both of its uses: cycle
+    removal's exit distributions and the frontier cycle's v values."""
+    kind, _, eps = name.rpartition("-")
+    factory = {"deferred": two_type_deferred, "unbalanced": two_type_unbalanced}
+    model = _FrontierCycle() if name == "frontier-cycle" else factory[kind](epsilon=float(eps))
+    result = preprocess(model)
+    dump = _preproc_dump(result)
+    got = (
+        len(result.chain.overrides), len(result.v_delta),
+        hashlib.sha256(dump.encode()).hexdigest(),
+    )
+    assert got == PINNED_PREPROC[name], dump
+
+
+@pytest.mark.parametrize("p_exit", [1e-6, 1e-9])
+def test_near_absorbing_loop_gets_stochastic_replacement_rows(p_exit):
+    """Loop a <-> b with internal mass 1 - p_exit, each member with its
+    own exit: the replacement rows are renormalised to sum to 1, and by
+    symmetry a leaves through g first slightly more often than not."""
+    result = preprocess(_Table({
+        "s": [("a", 1.0, 0)],
+        "a": [("b", 1.0 - p_exit, 0), ("g", p_exit, 9)],
+        "b": [("t", p_exit, 9), ("a", 1.0 - p_exit, 0)],
+    }))
+    chain = result.chain
+    rows = {chain.indexer.state(x): row for x, row in chain.overrides.items()}
+    assert set(rows) == {"a", "b"}
+    for targets, probs, orders in rows.values():
+        assert targets == [chain.goal_index, chain.taboo_index]
+        assert orders == (0, 0)
+        assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-9)
+    assert rows["a"][1][0] == pytest.approx(1.0 / (2.0 - p_exit), rel=1e-6)
+
+
 def test_exit_distribution_closed_form_two_member_loop():
     """0 <-> 1 loop: exits solvable by hand.
 
@@ -243,11 +315,10 @@ def test_exit_distribution_closed_form_two_member_loop():
     mu[0] = (0.625, 0.375) and mu[1] = (0.25, 0.75).
     """
     rows = {0: ([1, 10], [0.5, 0.5], (0, 0)), 1: ([0, 11], [0.4, 0.6], (0, 0))}
-    mu = solve_exit_distribution(rows, [0, 1], [10, 11])
-    assert mu[0][10] == pytest.approx(0.625)
-    assert mu[0][11] == pytest.approx(0.375)
-    assert mu[1][10] == pytest.approx(0.25)
-    assert mu[1][11] == pytest.approx(0.75)
+    exits, mu = solve_absorbing(rows, [0, 1])
+    assert exits == [10, 11]
+    assert mu[0] == pytest.approx([0.625, 0.375])
+    assert mu[1] == pytest.approx([0.25, 0.75])
 
 
 def test_exit_distribution_with_tiny_exit_mass():
@@ -257,19 +328,20 @@ def test_exit_distribution_with_tiny_exit_mass():
         0: ([1, 10], [1.0 - eps, eps], (0, 9)),
         1: ([11, 0], [eps, 1.0 - eps], (9, 0)),
     }
-    mu = solve_exit_distribution(rows, [0, 1], [10, 11])
+    exits, mu = solve_absorbing(rows, [0, 1])
+    assert exits == [10, 11]
     # by symmetry each member leaves through its own exit first slightly
     # more often than not
-    assert mu[0][10] + mu[0][11] == pytest.approx(1.0, abs=1e-9)
-    assert mu[0][10] == pytest.approx(1.0 / (2.0 - eps), rel=1e-6)
+    assert mu[0][0] == pytest.approx(1.0 / (2.0 - eps), rel=1e-6)
+    assert mu[1][1] == pytest.approx(1.0 / (2.0 - eps), rel=1e-6)
 
 
 def test_exit_distribution_self_loop():
     """Geometric self-loop: exit split equals the one-step split."""
     rows = {0: ([1, 0, 2], [0.06, 0.9, 0.04], (1, 0, 1))}
-    mu = solve_exit_distribution(rows, [0], [1, 2])
-    assert mu[0][1] == pytest.approx(0.6)
-    assert mu[0][2] == pytest.approx(0.4)
+    exits, mu = solve_absorbing(rows, [0])
+    assert exits == [1, 2]
+    assert mu[0] == pytest.approx([0.6, 0.4])
 
 
 # --------------------------------------------------------- structure
@@ -289,8 +361,8 @@ def test_frontier_is_disjoint_from_relevant_set(factory):
         *(
             pytest.param(lambda s=s: make_dds(s, 0.01), n, id=f"dds-{s}")
             for s, n in (
-                ("dedicated", 543), ("disk_priority", 549),
-                ("proc_priority", 543), ("fcfs", 4662),
+                ("dedicated", 541), ("disk_priority", 547),
+                ("proc_priority", 541), ("fcfs", 4660),
             )
         ),
     ],
@@ -302,7 +374,7 @@ def test_backward_phase_indexes_no_state(factory, discovered):
     ZVA steps read without classifying."""
     result = preprocess(factory())
     chain = result.chain
-    assert len(chain) == result.states_discovered
+    assert len(chain) - 2 == result.states_discovered
     for x in result.lambda_indices:
         if not chain.is_terminal(x):
             assert UNSEEN not in chain.fetch(x)[0], chain.indexer.state(x)
@@ -358,7 +430,7 @@ def test_processing_order_is_topological(factory):
         for z in successors[x]:
             assert position[z] < position[x], result.chain.indexer.state(x)
     if factory is _FrontierCycle:
-        assert {result.chain.indexer.state(x) for x in cyclic} == {"b", "c", "d"}
+        assert {result.chain.indexer.state(x) for x in cyclic} == {"b", "c", "d", "f"}
 
 
 def test_report_fields():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rarepath import sampling
 from rarepath.errors import ConfigError, ConvergenceError
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import UNSEEN, Chain, MarkovModel, embedded_row
@@ -325,22 +326,24 @@ class SinglePath(MarkovModel):
         return ["g", "t"], [0.1, 0.9], [1, 0]
 
 
-def test_step_cap_bounds_every_path():
+def test_step_cap_bounds_every_path(monkeypatch):
     """Under mc, SinglePath's paths take 1 or 2 steps: a cap of 2 never
     trips, and a cap of 1 passes a one-step path and trips on a two-step
     one, replayed from the same RNG state."""
     sampler = Sampler(SinglePath(), ChangeOfMeasure("mc"))
     rng = random.Random(0)
     starts = {1: [], 2: []}
+    monkeypatch.setattr(sampling, "_STEPS", range(1, 3))
     for _ in range(200):
         before = rng.getstate()
-        starts[sampler.sample(rng, max_steps=2).steps].append(before)
+        starts[sampler.sample(rng).steps].append(before)
     assert starts[1] and starts[2]
+    monkeypatch.setattr(sampling, "_STEPS", range(1, 2))
     rng.setstate(starts[1][0])
-    assert sampler.sample(rng, max_steps=1).steps == 1
+    assert sampler.sample(rng).steps == 1
     rng.setstate(starts[2][0])
     with pytest.raises(ConvergenceError):
-        sampler.sample(rng, max_steps=1)
+        sampler.sample(rng)
 
 
 def test_q_delta_single_path_is_one():
