@@ -11,6 +11,12 @@ the simulation estimators are validated against.  Unlike the estimators it
 needs the whole space, so it keeps none of it as rows: each row is read
 once into flat arrays, from which numpy assembles the two triangles the
 sweeps read, L and U; no matrix that holds both is ever built.
+
+The flat arrays come in bulk, layer by layer, from ``model.coded_arrays``
+when the full chain of a model with codes is solved (the DDS count-vector
+strategies); otherwise, for a reduced chain or a model without codes
+(DDS fcfs, ``MulticomponentModel``, user models), one row at a time from
+a ``Chain``.  Both give the same arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from array import array
 from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags_array
 from scipy.sparse.linalg import spsolve_triangular
 
 from rarepath.errors import ConvergenceError, StateBudgetExceeded
-from rarepath.model import Chain, MarkovModel
+from rarepath.model import GOAL, TABOO, Chain, MarkovModel, coded_arrays
 from rarepath.preproc import PreprocessResult
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -40,8 +46,9 @@ def exact_hitting_probability(
 ) -> tuple[float, dict[Any, float]]:
     """Probability of reaching the goal before the taboo state.
 
-    Returns (pi(s), pi for every non-terminal state of the chain).  States
-    are enumerated through a ``Chain``: the model's own, or the
+    Returns (pi(s), pi for every non-terminal state of the chain).  The
+    full chain of a model with codes is built in bulk (``coded_arrays``);
+    any other is enumerated through a ``Chain``: the model's own, or the
     preprocessing result's to solve over the reduced chain instead
     (indexing every state in that chain, but storing none of its rows);
     cycle removal must leave hitting probabilities unchanged, which the
@@ -49,7 +56,8 @@ def exact_hitting_probability(
 
     Matrix row i is chain index i: the indices are walked upward while
     ``chain.take`` reads row i once, indexing the states it discovers
-    (breadth-first from s on the model's own chain).  Goal mass goes to
+    (breadth-first from s on the model's own chain), and the bulk path
+    gives the same indices.  Goal mass goes to
     b, self-loops to the diagonal, and the other entries, in row order
     with duplicates summed, straight to L (below the diagonal) or U (above
     it); A = L + U is never built.  g, t and any state whose row only loops
@@ -64,24 +72,16 @@ def exact_hitting_probability(
     probability resolved to the same relative accuracy.  After MAX_SWEEPS
     sweeps the solve gives up with ConvergenceError.
     """
-    chain = result.chain if result is not None else Chain(model)
-    goal, taboo = chain.goal_index, chain.taboo_index
-    # one pass over the rows, each read once into flat typed arrays
-    targets, probs, sizes = array("i"), array("d"), array("i")
-    empty = (), (), ()
-    i = 0
-    while i < len(chain):
-        row_targets, row_probs, _orders = empty if chain.is_terminal(i) else chain.take(i)
-        if len(chain) - 2 > state_cap:  # g and t take two indices
-            raise StateBudgetExceeded(f"more than {state_cap} reachable states")
-        targets.extend(row_targets)
-        probs.extend(row_probs)
-        sizes.append(len(row_targets))
-        i += 1
-
-    n = len(chain)
-    z, p = np.frombuffer(targets, np.intc), np.frombuffer(probs)
-    sizes = np.frombuffer(sizes, np.intc)
+    if result is None and model.has_codes:
+        chain = None
+        *rows, codes = coded_arrays(model, state_cap)
+        s, goal, taboo = 0, 1, 2  # as in a Chain
+    else:
+        chain = result.chain if result is not None else Chain(model)
+        s, goal, taboo = chain.s_index, chain.goal_index, chain.taboo_index
+        rows = row_arrays(chain, state_cap)
+    z, p, sizes = map(np.frombuffer, rows, (np.intc, float, np.intc))
+    n = len(sizes)
     r = np.repeat(np.arange(n, dtype=np.intc), sizes)
     hit = z == goal
     b = np.bincount(r[hit], p[hit], minlength=n)
@@ -90,6 +90,8 @@ def exact_hitting_probability(
     np.subtract.at(diag, r[loop], p[loop])
     # a state that only loops on itself never reaches g: identity, b = 0
     diag[np.bincount(r[loop], minlength=n) == sizes] = 1.0
+    if not diag.all():  # the sweeps divide by it
+        raise ConvergenceError("a self-loop rounds to probability 1 beside other edges")
     # L: the entries below the diagonal in row order, each row's diagonal
     # last; U: those above it.  Neither holds a goal, taboo or self-loop entry.
     off = ~hit & (z != taboo)
@@ -102,20 +104,53 @@ def exact_hitting_probability(
     data, cols = np.insert(-p[below], ends, diag), np.insert(z[below], ends, at)
     lower = csr_matrix((data, cols, np.r_[0, ends + at + 1]), shape=(n, n))
     upper = csr_matrix((-p[above], z[above], np.r_[0, starts]), shape=(n, n))
-    del targets, probs, z, p, sizes, below, above, data, cols
+    del rows, z, p, sizes, below, above, data, cols
     lower.sum_duplicates()
     upper.sum_duplicates()
     # off the diagonal L and U hold -p: a row reads < 0 iff it has an edge into reach
     reach = b > 0
     while not np.array_equal(grown := reach | (lower @ reach + upper @ reach < 0), reach):
         reach = grown
+    # each sweep solves with the unit triangle L diag(1/d), formed once here
+    # as spsolve_triangular would form it on every call, then scales by 1/d
+    inv = 1.0 / diag
+    unit = lower @ diags_array(inv)
+    del lower
     x = np.column_stack([np.zeros(n), reach])
     for _ in range(MAX_SWEEPS):
-        x = spsolve_triangular(lower, b[:, None] - upper @ x, lower=True)
+        x = spsolve_triangular(
+            unit, b[:, None] - upper @ x, lower=True, overwrite_A=True, unit_diagonal=True
+        ) * inv[:, None]
         if np.all(x[:, 1] - x[:, 0] <= TOL * x[:, 0]):
             break
     else:
         raise ConvergenceError("hitting-probability solve did not converge")
-    state = chain.indexer.state
-    pi = {state(i): float(x[i, 0]) for i in range(n) if i != goal and i != taboo}
-    return float(x[chain.s_index, 0]), pi
+    del unit, upper, b
+    if chain is None:
+        states = [model.initial_state, GOAL, TABOO, *model.decode(codes[3:])]
+    else:
+        states = map(chain.indexer.state, range(n))
+    pi = {
+        state: value
+        for i, (state, value) in enumerate(zip(states, x[:, 0].tolist()))
+        if i != goal and i != taboo
+    }
+    return float(x[s, 0]), pi
+
+
+def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array]:
+    """The rows of a chain as flat (targets, probs, sizes), read one at a
+    time in index order through ``chain.take``, which indexes the states
+    they discover."""
+    targets, probs, sizes = array("i"), array("d"), array("i")
+    empty = (), (), ()
+    i = 0
+    while i < len(chain):
+        row_targets, row_probs, _orders = empty if chain.is_terminal(i) else chain.take(i)
+        if len(chain) - 2 > state_cap:  # g and t take two indices
+            raise StateBudgetExceeded(f"more than {state_cap} reachable states")
+        targets.extend(row_targets)
+        probs.extend(row_probs)
+        sizes.append(len(row_targets))
+        i += 1
+    return targets, probs, sizes

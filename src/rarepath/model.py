@@ -14,6 +14,17 @@ ruin with up-rate eps = 0.1 and down-rate 1:
         def is_goal(self, x): return x == 3
         def is_taboo(self, x): return x == 0
         def successors(self, x): return (x + 1, x - 1), (0.1, 1.0), (1, 0)
+
+A model may also give its rows in bulk, over non-negative integer state
+codes (``has_codes``; the exact oracle reads them, see ``coded_arrays``).
+``encode`` maps a state to its code, injectively on the non-terminal
+states and the initial state; ``decode`` maps an array of codes back to a
+list of states.  ``coded_rows`` takes an array of codes and returns CSR
+rows: per row its size, and over all rows, row after row, the target
+codes, weights and orders (explicit, never None).  Each row is the
+state's ``successors`` row, position by position in the same order;
+a target that is a goal state reads ``GOAL_CODE`` and one that is taboo
+(and not goal) ``TABOO_CODE``.
 """
 
 from __future__ import annotations
@@ -26,6 +37,8 @@ from functools import reduce
 from itertools import repeat
 from operator import add
 from typing import Any, Hashable, Sequence
+
+import numpy as np
 
 from rarepath.errors import ModelError, StateBudgetExceeded
 from rarepath.orders import assign_order
@@ -42,6 +55,10 @@ class Terminal(enum.Enum):
 
 GOAL = Terminal.GOAL
 TABOO = Terminal.TABOO
+
+#: the codes of goal and taboo targets in ``coded_rows``
+GOAL_CODE = -1
+TABOO_CODE = -2
 
 
 class MarkovModel(abc.ABC):
@@ -68,6 +85,19 @@ class MarkovModel(abc.ABC):
     def successors(self, state: State) -> tuple[Sequence, Sequence, Sequence]:
         """(targets, weights, orders) of ``state``, position by position;
         the same row for the same state on every call."""
+
+    #: the model gives ``encode``, ``decode`` and ``coded_rows``
+    has_codes: bool = False
+
+    def encode(self, state: State) -> int:
+        raise NotImplementedError
+
+    def decode(self, codes: np.ndarray) -> list[State]:
+        raise NotImplementedError
+
+    def coded_rows(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(sizes, targets, weights, orders) of the rows of ``codes``."""
+        raise NotImplementedError
 
 
 def embedded_row(
@@ -334,3 +364,93 @@ class Chain:
     def set_override(self, idx: int, row: Row) -> None:
         """Replace the row of ``idx`` (cycle removal); ``overrides`` keeps it."""
         self._rows[idx] = self.overrides[idx] = row
+
+
+#: states expanded at once by ``coded_arrays``: blocks of one size keep its
+#: temporaries small and alike, so the heap they leave behind is reused
+#: (the peak RSS of repeated DDS solves fell by about 1 MB against whole layers)
+BLOCK = 1024
+
+
+def coded_arrays(
+    model: MarkovModel, state_cap: int
+) -> tuple[array, array, array, np.ndarray]:
+    """The whole chain of a model with codes as flat rows, built in bulk.
+
+    Returns (targets, probs, sizes, codes): row i is index i, its entries
+    run in position order, and ``codes`` holds the code of each index.
+    The rows grow in place, as typed arrays, block after block.
+    Indices are those a ``Chain`` gives when its rows are taken in index
+    order: s is 0, g 1 and t 2 (reading ``GOAL_CODE`` and ``TABOO_CODE``),
+    and every other state follows in first-discovery order.  The chain is
+    walked breadth-first, a block of at most ``BLOCK`` states at a time in
+    index order: a block's new target codes are indexed in order of first
+    occurrence and join the queue.  As the hook marks goal and taboo
+    targets, a target that is s maps to g or t if s is goal or taboo, as
+    in ``Chain``.
+
+    Each block is embedded by ``embedded_row``'s rule: weights summed left
+    to right (over padded columns, 0.0 where a row is shorter) and divided
+    by that sum.  A block with a row that fails one of ``embedded_row``'s
+    checks raises the ``ModelError`` that ``embedded_row`` raises for the
+    first such row; one that takes the chain past ``state_cap``
+    non-terminal states raises ``StateBudgetExceeded``.
+    """
+    queue = np.array([model.encode(model.initial_state)], np.int64)
+    known, known_at = queue, np.zeros(1, np.int64)  # codes sorted, their indices
+    codes = [queue, np.array([GOAL_CODE, TABOO_CODE])]
+    targets, probs, sizes = array("i"), array("d"), array("i")
+    n = 3
+    while len(queue):
+        block, queue = queue[:BLOCK], queue[BLOCK:]
+        m = len(block)
+        size, z, w, r = model.coded_rows(block)
+        rows = np.repeat(np.arange(m), size)
+        padded = np.zeros((m, max(size.max(), 1)))
+        padded[rows, np.arange(len(z)) - (np.cumsum(size) - size)[rows]] = w
+        total = padded[:, 0].copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            for column in padded.T[1:]:
+                total += column
+        bad = ~(w > 0.0) | (r < 0)
+        ok = (size > 0) & (total < math.inf)
+        if not model.emits_rates:
+            bad |= w > 1.0
+            ok &= np.abs(total - 1.0) <= 1e-9
+        ok[rows[bad]] = False
+        if not ok.all():
+            state = model.decode(block[[np.argmin(ok)]])[0]
+            embedded_row(model, state)
+            raise ModelError(f"coded row of {state!r} differs from its successors")
+        if model.emits_rates:
+            w = w / np.repeat(total, size)
+        plain = z >= 0
+        z_plain = z[plain]
+        found_at = np.searchsorted(known, z_plain).clip(max=len(known) - 1)
+        found = known[found_at] == z_plain
+        new, first, inverse = np.unique(
+            z_plain[~found], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        at = np.empty(len(new), np.int64)
+        at[order] = np.arange(n, n + len(new))
+        z_plain[found] = known_at[found_at[found]]
+        z_plain[~found] = at[inverse]
+        index = np.where(z == GOAL_CODE, 1, 2)
+        index[plain] = z_plain
+        targets.frombytes(index.astype(np.intc).tobytes())
+        probs.frombytes(w.tobytes())
+        sizes.frombytes(size.astype(np.intc).tobytes())
+        if n == 3:
+            sizes.extend((0, 0))  # g and t
+        new = new[order]
+        codes.append(new)
+        queue = np.concatenate([queue, new])
+        n += len(new)
+        if n - 2 > state_cap:
+            raise StateBudgetExceeded(f"more than {state_cap} reachable states")
+        known = np.concatenate([known, new])
+        known_at = np.concatenate([known_at, np.arange(n - len(new), n)])
+        by_code = np.argsort(known)
+        known, known_at = known[by_code], known_at[by_code]
+    return targets, probs, sizes, np.concatenate(codes)

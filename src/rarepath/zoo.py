@@ -15,11 +15,13 @@ prefactor * eps**order so preprocessing sees exact rarity orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
+from operator import ge, mul
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from rarepath.errors import ConfigError
-from rarepath.model import MarkovModel
+from rarepath.model import GOAL_CODE, TABOO_CODE, MarkovModel
 
 
 class BirthDeathChain(MarkovModel):
@@ -203,6 +205,9 @@ _DDS_FAIL_PREFACTOR = (0.5, 0.5, 0.5) + (1.0 / 6.0,) * 6
 _DDS_FAIL_ORDER = 2
 _DDS_REPAIR_ORDER = (0, 0, 0) + (1,) * 6  # disks repair at rate eps
 _DDS_DOWN_LIMIT = (2, 2, 2) + (4,) * 6  # failed components meaning "down"
+#: place values of the state codes: mixed radix over the failed counts of
+#: the states that are not down, type 0 least significant
+_DDS_STRIDES = tuple(int(np.prod(_DDS_DOWN_LIMIT[:i])) for i in range(9))
 
 
 class DdsModel(MarkovModel):
@@ -212,7 +217,8 @@ class DdsModel(MarkovModel):
     set fail, or four disks of one cluster fail.  Failure rates are linear
     in the number of working components; repair follows the chosen
     strategy.  FCFS states carry the chronological list of failed
-    component types, other strategies a count vector.
+    component types, other strategies a count vector, and only those have
+    codes (see ``rarepath.model``).
     """
 
     emits_rates = True
@@ -228,6 +234,7 @@ class DdsModel(MarkovModel):
             for n, pre in zip(_DDS_COUNTS, _DDS_FAIL_PREFACTOR)
         ]
         self._repair_rates = [epsilon**order for order in _DDS_REPAIR_ORDER]
+        self.has_codes = strategy != "fcfs"
 
     @property
     def initial_state(self) -> tuple:
@@ -267,6 +274,36 @@ class DdsModel(MarkovModel):
         weights += [self._repair_rates[i] for i in down]
         orders = [_DDS_FAIL_ORDER] * len(up) + [_DDS_REPAIR_ORDER[i] for i in down]
         return targets, weights, orders
+
+    def encode(self, state: tuple) -> int:
+        return sum(map(mul, state, _DDS_STRIDES))
+
+    def decode(self, codes: np.ndarray) -> list[tuple]:
+        digits = (codes // stride % limit for stride, limit in zip(_DDS_STRIDES, _DDS_DOWN_LIMIT))
+        return list(zip(*(d.tolist() for d in digits)))
+
+    def coded_rows(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``successors`` over codes: per type a failure slot, then per
+        type a repair slot, in the order of ``successors``' positions."""
+        shape = (len(codes), 18)
+        targets, weights = np.empty(shape, np.int64), np.empty(shape)
+        orders, present = np.empty(shape, np.int64), np.empty(shape, bool)
+        for i, (stride, limit) in enumerate(zip(_DDS_STRIDES, _DDS_DOWN_LIMIT)):
+            counts = codes // stride % limit
+            present[:, i] = counts < _DDS_COUNTS[i]
+            targets[:, i] = np.where(counts + 1 < limit, codes + stride, GOAL_CODE)
+            weights[:, i] = np.take(self._fail_rates[i], counts)
+            orders[:, i] = _DDS_FAIL_ORDER
+            present[:, 9 + i] = counts > 0
+            targets[:, 9 + i] = np.where(codes != stride, codes - stride, TABOO_CODE)
+            weights[:, 9 + i] = self._repair_rates[i]
+            orders[:, 9 + i] = _DDS_REPAIR_ORDER[i]
+        down = present[:, 9:]
+        if self.strategy == "disk_priority":  # the last type with a failure
+            down &= np.cumsum(down[:, ::-1], axis=1)[:, ::-1] == 1
+        elif self.strategy == "proc_priority":  # the first one
+            down &= np.cumsum(down, axis=1) == 1
+        return present.sum(axis=1), targets[present], weights[present], orders[present]
 
 
 def _moved(counts: tuple[int, ...], types: list[int], step: int) -> list[tuple]:

@@ -190,6 +190,31 @@ def brute_force_dominant_mass(model: MarkovModel, result: PreprocessResult):
     return out
 
 
+def goal_states_counted_singly(model: MarkovModel, result: PreprocessResult):
+    """(|Lambda|, |Gamma|) with every goal state counted as a state of its own.
+
+    The goal targets of Lambda's rows are read from the chain's classified
+    targets (the positions that read g), their descriptors from the
+    model's row.  A goal state reached from x in Lambda by an edge of
+    order r with d(s, x) + r <= d(s, g) lies in Lambda; any other lies in
+    Gamma.  These are added to ``lambda_size``, which counts the merged g
+    once (and s and t once when they share a descriptor), and to
+    ``gamma_size``.
+    """
+    chain, d = result.chain, result.d_forward
+    in_lambda, in_gamma = set(), set()
+    for x in result.lambda_indices:
+        if chain.is_terminal(x):
+            continue
+        targets, _probs, orders = chain.row(x)
+        states = model.successors(chain.indexer.state(x))[0]
+        for z, r, t in zip(targets, orders, states):
+            if z == chain.goal_index:
+                (in_lambda if d[x] + r <= result.d_sg else in_gamma).add(t)
+    in_gamma -= in_lambda
+    return result.lambda_size + len(in_lambda), result.gamma_size + len(in_gamma)
+
+
 @pytest.fixture(scope="session")
 def dds_oracle():
     """pi(s) of ``make_dds(strategy, epsilon)`` from the production oracle.

@@ -19,7 +19,7 @@ from rarepath.zoo import (
     two_type_unbalanced,
 )
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, goal_states_counted_singly
 
 SEED = 0
 N = 10_000
@@ -179,17 +179,28 @@ PUBLISHED_DDS_SIZES = {
 }
 
 
+#: strategies whose published sizes our counting convention reproduces
+MATCHED_DDS_SIZES = ("fcfs", "proc_priority")
+
+
 def test_criterion_6_dds_preprocessing_sizes(dds_oracle):
     """DDS with slow disk repairs: published (|Lambda|, |Gamma|) per repair
-    strategy, with a documented counting-convention fallback requiring the
-    order distance d(s, g) to match the oracle's scaling."""
-    got = {}
-    d_sg = {}
+    strategy.  Counting each goal state singly (``goal_states_counted_singly``)
+    reproduces the fcfs and proc_priority pairs exactly; dedicated and
+    disk_priority are printed with their gap.  The fallback conditions are
+    asserted in full as well: the order distance d(s, g) must match the
+    oracle's scaling."""
+    got, d_sg = {}, {}
     for strategy in PUBLISHED_DDS_SIZES:
-        result = preprocess(make_dds(strategy, 0.01))
-        got[strategy] = (result.lambda_size, result.gamma_size)
+        model = make_dds(strategy, 0.01)
+        result = preprocess(model)
+        got[strategy] = goal_states_counted_singly(model, result)
         d_sg[strategy] = result.d_sg
-    exact_match = got == PUBLISHED_DDS_SIZES
+    matched = {s: got[s] == PUBLISHED_DDS_SIZES[s] for s in MATCHED_DDS_SIZES}
+    gaps = {
+        s: tuple(a - b for a, b in zip(got[s], PUBLISHED_DDS_SIZES[s]))
+        for s in PUBLISHED_DDS_SIZES if s not in MATCHED_DDS_SIZES
+    }
 
     # fallback: two component failures down the system, so d(s,g) = 2 and
     # pi scales as eps^2 — confirmed against the exact oracle
@@ -197,20 +208,18 @@ def test_criterion_6_dds_preprocessing_sizes(dds_oracle):
     pi_2 = dds_oracle("dedicated", 0.003)
     order = math.log(pi_1 / pi_2) / math.log(0.01 / 0.003)
     distance_ok = all(v == 2 for v in d_sg.values()) and abs(order - 2.0) <= 0.1
-    ok = exact_match or distance_ok
+    ok = all(matched.values()) and distance_ok
     verdict(
         "6",
         ok,
-        f"sizes {got} vs published {PUBLISHED_DDS_SIZES} "
-        f"(exact match: {exact_match}; set counts differ by the "
-        f"goal-merge/counting convention, see the sizes note in README); "
-        f"d(s,g) = 2 for all strategies and oracle order {order:.3f}",
+        f"sizes with goal states counted singly {got} vs published "
+        f"{PUBLISHED_DDS_SIZES} (exact match: {matched}; gap of the others "
+        f"{gaps}, see the sizes note in README); d(s,g) = 2 for all "
+        f"strategies and oracle order {order:.3f}",
     )
-    assert ok
-    if not exact_match:
-        # the fallback conditions must hold in full
-        assert all(v == 2 for v in d_sg.values()), d_sg
-        assert abs(order - 2.0) <= 0.1
+    assert all(matched.values()), got
+    assert all(v == 2 for v in d_sg.values()), d_sg
+    assert abs(order - 2.0) <= 0.1
 
 
 def test_criterion_7_dds_confidence_interval(dds_oracle):

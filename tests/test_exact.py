@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarepath.errors import ModelError, StateBudgetExceeded
-from rarepath.exact import exact_hitting_probability
-from rarepath.model import GOAL, TABOO, MarkovModel
+from rarepath.errors import ConvergenceError, ModelError, StateBudgetExceeded
+from rarepath.exact import exact_hitting_probability, row_arrays
+from rarepath.model import GOAL, TABOO, Chain, MarkovModel, coded_arrays
 from rarepath.preproc import preprocess
 from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
+    DdsModel,
     MulticomponentModel,
     make_birth_death_chain,
     make_dds,
@@ -106,6 +107,13 @@ def test_absorbing_non_terminal_state_reads_zero(rows):
     assert all(pi[state] == 0.0 for state in rows)
     with pytest.raises(ModelError, match="order-0 cycle with no exit"):
         preprocess(model)
+
+
+def test_self_loop_rounding_to_one_raises():
+    """1 - 1e-17 rounds to 1: the diagonal the sweeps divide by reads 0."""
+    model = TableModel({0: ([0, "g"], [1.0, 1e-17])})
+    with pytest.raises(ConvergenceError, match="self-loop rounds to probability 1"):
+        exact_hitting_probability(model)
 
 
 @st.composite
@@ -234,18 +242,94 @@ def test_reduced_solve_keeps_shared_rows_and_stores_no_others(factory):
     assert solved.ci_half_width.hex() == fresh.ci_half_width.hex()
 
 
-def test_full_dds_solve_memory_is_bounded():
-    """The oracle holds no chain rows and builds L and U straight from its
-    flat rows, never A: a 19.8 MiB traced peak, 27.5 MiB when it built A
-    and copied its triangles out, 55.6 MiB when it kept every row."""
-    model = make_dds("dedicated", 0.01)
+def per_row(model):
+    """``model`` with its codes hidden: the oracle reads it row by row."""
+    model.has_codes = False
+    return model
+
+
+def traced_peak(model) -> int:
+    """The tracemalloc peak of one full-chain solve of ``model``, in bytes."""
     tracemalloc.start()
     try:
         exact_hitting_probability(model)
-        _current, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * 2**20
+
+
+def test_full_dds_solve_memory_is_bounded():
+    """The oracle holds no chain rows, builds L and U straight from its flat
+    rows, never A, and scales L once for all its sweeps.  In bulk its
+    traced peak is 13.6 MiB, reached in the assembly; the bound leaves
+    about 2 MiB to spare.  Before, the row-by-row solve peaked at 19.8 MiB
+    inside the sweeps, which copied L on every call, 27.5 MiB when it built
+    A and 55.6 MiB when it kept every row."""
+    assert traced_peak(make_dds("dedicated", 0.01)) <= 16 * 2**20
+
+
+def test_full_dds_solve_memory_is_bounded_per_row():
+    """Row by row the traced peak is 19.0 MiB, reached in the assembly
+    while the chain's indexer holds every state (14.8 MiB in the sweeps)."""
+    assert traced_peak(per_row(make_dds("dedicated", 0.01))) <= 21 * 2**20
+
+
+COUNT_VECTOR_STRATEGIES = ("dedicated", "disk_priority", "proc_priority")
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1])
+@pytest.mark.parametrize("strategy", COUNT_VECTOR_STRATEGIES)
+def test_bulk_rows_and_solve_match_per_row_bit_for_bit(strategy, eps):
+    """The bulk path gives the per-row path's flat arrays byte for byte,
+    and so the same pi, state for state and in the same order."""
+    model = make_dds(strategy, eps)
+    targets, probs, sizes, _codes = coded_arrays(model, 10**6)
+    rows = row_arrays(Chain(model), 10**6)
+    assert [a.tobytes() for a in (targets, probs, sizes)] == [a.tobytes() for a in rows]
+    bulk, single = exact_hitting_probability(model), exact_hitting_probability(per_row(model))
+    assert bulk[0].hex() == single[0].hex()
+    assert [(k, v.hex()) for k, v in bulk[1].items()] == [
+        (k, v.hex()) for k, v in single[1].items()
+    ]
+
+
+def test_bulk_oracle_makes_no_scalar_model_calls(dds_oracle):
+    model = make_dds("dedicated", 0.01)
+    calls = Counter()
+    for name in ("successors", "is_goal", "is_taboo"):
+        method = getattr(model, name)
+        setattr(model, name, lambda *a, _m=method, _n=name: calls.update([_n]) or _m(*a))
+    pi_s, _pi = exact_hitting_probability(model)
+    assert pi_s.hex() == dds_oracle("dedicated", 0.01).hex()
+    assert calls == Counter()
+    # the counters count: the per-row path calls each method
+    with pytest.raises(StateBudgetExceeded):
+        exact_hitting_probability(per_row(model), state_cap=40)
+    assert set(calls) == {"successors", "is_goal", "is_taboo"}
+
+
+def test_bulk_state_cap_enforced():
+    """32,768 reachable states: the block that passes the cap raises."""
+    model = make_dds("dedicated", 0.01)
+    with pytest.raises(StateBudgetExceeded):
+        exact_hitting_probability(model, state_cap=32_767)
+    with pytest.raises(StateBudgetExceeded):
+        exact_hitting_probability(model, state_cap=5)
+    assert len(exact_hitting_probability(model, state_cap=32_768)[1]) == 32_768
+
+
+@pytest.mark.parametrize("strategy", COUNT_VECTOR_STRATEGIES)
+def test_bad_coded_row_raises_the_per_row_model_error(strategy):
+    class ZeroRepair(DdsModel):
+        def __init__(self):
+            super().__init__(strategy, 0.01)
+            self._repair_rates[0] = 0.0  # processors are never repaired
+
+    with pytest.raises(ModelError, match="bad weight 0.0 from") as bulk:
+        exact_hitting_probability(ZeroRepair())
+    with pytest.raises(ModelError) as single:
+        exact_hitting_probability(per_row(ZeroRepair()))
+    assert str(bulk.value) == str(single.value)
 
 
 #: rows that repeat targets below and above the diagonal, with self-loops

@@ -3,9 +3,11 @@
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from rarepath.errors import ConfigError
+from rarepath.model import GOAL_CODE, TABOO_CODE, coded_arrays
 from rarepath.preproc import preprocess
 from rarepath.zoo import (
     DDS_STRATEGIES,
@@ -236,6 +238,35 @@ def test_dds_preprocessing_pinned(strategy, p_delta, lambda_size, gamma_size):
 def test_dds_oracle_pinned(dds_oracle):
     """Bit-exact oracle pi(s) of DDS dedicated at eps = 0.01."""
     assert dds_oracle("dedicated", 0.01).hex() == "0x1.2c442e0857a29p-16"
+
+
+@pytest.mark.parametrize("strategy", ["dedicated", "disk_priority", "proc_priority"])
+def test_dds_coded_rows_match_successors_on_every_reachable_state(strategy):
+    """The batched hook and the scalar row agree position by position:
+    target codes (decoded, or marked goal or taboo), weights bit for bit
+    and orders."""
+    model = make_dds(strategy, 0.01)
+    codes = coded_arrays(model, 10**6)[3]
+    codes = np.delete(codes, [1, 2])  # g and t
+    states = [model.initial_state, *model.decode(codes[1:])]
+    assert len(set(states)) == len(states) == 32_768
+    assert [model.encode(x) for x in states] == codes.tolist()
+    sizes, targets, weights, orders = model.coded_rows(codes)
+    ends = np.cumsum(sizes).tolist()
+    for x, start, end in zip(states, [0, *ends], ends):
+        expect_targets, expect_weights, expect_orders = model.successors(x)
+        assert [
+            GOAL_CODE if model.is_goal(t) else TABOO_CODE if model.is_taboo(t)
+            else model.encode(t) for t in expect_targets
+        ] == targets[start:end].tolist()
+        plain = targets[start:end] >= 0
+        assert model.decode(targets[start:end][plain]) == [
+            t for t, keep in zip(expect_targets, plain) if keep
+        ]
+        assert [w.hex() for w in weights[start:end].tolist()] == [
+            w.hex() for w in expect_weights
+        ]
+        assert orders[start:end].tolist() == expect_orders
 
 
 # ------------------------------------------------------------- registry
