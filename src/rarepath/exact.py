@@ -12,11 +12,12 @@ needs the whole space, so it keeps none of it as rows: each row is read
 once into flat arrays, from which numpy assembles the two triangles the
 sweeps read, L and U; no matrix that holds both is ever built.
 
-The flat arrays come in bulk, layer by layer, from ``model.coded_arrays``
-when the full chain of a model with codes is solved (the DDS count-vector
-strategies); otherwise, for a reduced chain or a model without codes
-(DDS fcfs, ``MulticomponentModel``, user models), one row at a time from
-a ``Chain``.  Both give the same arrays, bit for bit.
+The flat arrays come in bulk, in blocks of at most ``model.BLOCK`` = 1,024
+states, from ``model.coded_arrays`` when the full chain of a model with
+codes is solved (the DDS count-vector strategies); otherwise, for a
+reduced chain or a model without codes (DDS fcfs, ``MulticomponentModel``,
+user models), one row at a time from a ``Chain``.  Both give the same
+arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from array import array
 from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags_array
+from scipy.sparse import csc_matrix, csr_matrix, diags_array
 from scipy.sparse.linalg import spsolve_triangular
 
 from rarepath.errors import ConvergenceError, StateBudgetExceeded
@@ -63,14 +64,15 @@ def exact_hitting_probability(
     it); A = L + U is never built.  g, t and any state whose row only loops
     on itself get identity rows with b = 0; g and t stay out of the map.
 
-    Each sweep solves two columns, x_lo from 0 and x_hi from 1 on the
-    states that reach g (``b > 0`` grown through the edges into it) and 0
-    elsewhere: off that set pi = 0, on closed classes too.  The sweeps are
-    monotone (the b = 0 and b = 1 bounds of Muntz, de Souza e Silva &
-    Goyal, 1989), so x_lo <= pi <= x_hi up to rounding.  They stop once
-    x_hi - x_lo <= TOL * x_lo in every component and return x_lo, each
-    probability resolved to the same relative accuracy.  After MAX_SWEEPS
-    sweeps the solve gives up with ConvergenceError.
+    The sweeps (``gauss_seidel_bracket``) solve two columns, x_lo from 0
+    and x_hi from 1 on the states that reach g (``b > 0`` grown through
+    the edges into it) and 0 elsewhere: off that set pi = 0, on closed
+    classes too.  The sweeps are monotone (the b = 0 and b = 1 bounds of
+    Muntz, de Souza e Silva & Goyal, 1989), so x_lo <= pi <= x_hi up to
+    rounding.  They stop once x_hi - x_lo <= TOL * x_lo in every component,
+    and x_lo is returned, each probability resolved to the same relative
+    accuracy.  After MAX_SWEEPS sweeps the solve gives up with
+    ConvergenceError.
     """
     if result is None and model.has_codes:
         chain = None
@@ -112,19 +114,12 @@ def exact_hitting_probability(
     while not np.array_equal(grown := reach | (lower @ reach + upper @ reach < 0), reach):
         reach = grown
     # each sweep solves with the unit triangle L diag(1/d), formed once here
-    # as spsolve_triangular would form it on every call, then scales by 1/d
+    # as spsolve_triangular would form it on every call, and in CSC, the
+    # layout it solves a lower triangle in without building an identity
     inv = 1.0 / diag
-    unit = lower @ diags_array(inv)
+    unit = lower.tocsc() @ diags_array(inv)
     del lower
-    x = np.column_stack([np.zeros(n), reach])
-    for _ in range(MAX_SWEEPS):
-        x = spsolve_triangular(
-            unit, b[:, None] - upper @ x, lower=True, overwrite_A=True, unit_diagonal=True
-        ) * inv[:, None]
-        if np.all(x[:, 1] - x[:, 0] <= TOL * x[:, 0]):
-            break
-    else:
-        raise ConvergenceError("hitting-probability solve did not converge")
+    x_lo, _x_hi = gauss_seidel_bracket(unit, inv, upper, b, reach)
     del unit, upper, b
     if chain is None:
         states = [model.initial_state, GOAL, TABOO, *model.decode(codes[3:])]
@@ -132,10 +127,32 @@ def exact_hitting_probability(
         states = map(chain.indexer.state, range(n))
     pi = {
         state: value
-        for i, (state, value) in enumerate(zip(states, x[:, 0].tolist()))
+        for i, (state, value) in enumerate(zip(states, x_lo.tolist()))
         if i != goal and i != taboo
     }
-    return float(x[s, 0]), pi
+    return float(x_lo[s]), pi
+
+
+def gauss_seidel_bracket(
+    unit: csc_matrix, inv: np.ndarray, upper: csr_matrix, b: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep (L + U) x = b to a bracket (x_lo, x_hi) of its solution.
+
+    ``unit`` is the unit lower triangle L diag(1/d) in CSC, ``inv`` is
+    1/d, ``upper`` is U, and ``reach`` marks the states that reach g.
+    Each sweep solves for both columns in one ``spsolve_triangular`` call:
+    x_lo rises from 0, and x_hi falls from 1 on ``reach`` (0 elsewhere).
+    The sweeps stop once x_hi - x_lo <= TOL * x_lo in every component;
+    after MAX_SWEEPS they give up with ConvergenceError.
+    """
+    x = np.column_stack([np.zeros(len(b)), reach])
+    for _ in range(MAX_SWEEPS):
+        x = spsolve_triangular(
+            unit, b[:, None] - upper @ x, lower=True, overwrite_A=True, unit_diagonal=True
+        ) * inv[:, None]
+        if np.all(x[:, 1] - x[:, 0] <= TOL * x[:, 0]):
+            return x[:, 0], x[:, 1]
+    raise ConvergenceError("hitting-probability solve did not converge")
 
 
 def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array]:

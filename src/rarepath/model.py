@@ -24,7 +24,9 @@ rows: per row its size, and over all rows, row after row, the target
 codes, weights and orders (explicit, never None).  Each row is the
 state's ``successors`` row, position by position in the same order;
 a target that is a goal state reads ``GOAL_CODE`` and one that is taboo
-(and not goal) ``TABOO_CODE``.
+(and not goal) ``TABOO_CODE``.  Codes index a table of one C int per
+code up to the largest code met, so they must be dense, as mixed-radix
+codes are; a code of ``MAX_CODE`` = 2**24 or more raises ``ModelError``.
 """
 
 from __future__ import annotations
@@ -371,6 +373,21 @@ class Chain:
 #: (the peak RSS of repeated DDS solves fell by about 1 MB against whole layers)
 BLOCK = 1024
 
+#: the ceiling on state codes: ``coded_arrays`` looks codes up in a table of
+#: one C int per code, so a code this large would need a 64 MiB table
+MAX_CODE = 2**24
+
+
+def _table_for(table: np.ndarray, top: int) -> np.ndarray:
+    """``table`` doubled until code ``top`` indexes it, new entries -1 (unseen)."""
+    if 0 <= top < len(table):
+        return table
+    if not 0 <= top < MAX_CODE:
+        raise ModelError(f"state code {top} is not in [0, MAX_CODE = {MAX_CODE})")
+    grown = np.full(1 << top.bit_length(), -1, np.intc)
+    grown[: len(table)] = table
+    return grown
+
 
 def coded_arrays(
     model: MarkovModel, state_cap: int
@@ -387,7 +404,9 @@ def coded_arrays(
     index order: a block's new target codes are indexed in order of first
     occurrence and join the queue.  As the hook marks goal and taboo
     targets, a target that is s maps to g or t if s is goal or taboo, as
-    in ``Chain``.
+    in ``Chain``.  Codes are looked up in a table indexed by code, which
+    doubles as larger codes appear, so the build takes time linear in the
+    states and edges; a code of ``MAX_CODE`` or more raises ``ModelError``.
 
     Each block is embedded by ``embedded_row``'s rule: weights summed left
     to right (over padded columns, 0.0 where a row is shorter) and divided
@@ -397,7 +416,8 @@ def coded_arrays(
     non-terminal states raises ``StateBudgetExceeded``.
     """
     queue = np.array([model.encode(model.initial_state)], np.int64)
-    known, known_at = queue, np.zeros(1, np.int64)  # codes sorted, their indices
+    table = _table_for(np.empty(0, np.intc), int(queue[0]))  # index per code, -1 unseen
+    table[queue[0]] = 0
     codes = [queue, np.array([GOAL_CODE, TABOO_CODE])]
     targets, probs, sizes = array("i"), array("d"), array("i")
     n = 3
@@ -426,31 +446,24 @@ def coded_arrays(
             w = w / np.repeat(total, size)
         plain = z >= 0
         z_plain = z[plain]
-        found_at = np.searchsorted(known, z_plain).clip(max=len(known) - 1)
-        found = known[found_at] == z_plain
-        new, first, inverse = np.unique(
-            z_plain[~found], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        at = np.empty(len(new), np.int64)
-        at[order] = np.arange(n, n + len(new))
-        z_plain[found] = known_at[found_at[found]]
-        z_plain[~found] = at[inverse]
-        index = np.where(z == GOAL_CODE, 1, 2)
-        index[plain] = z_plain
-        targets.frombytes(index.astype(np.intc).tobytes())
+        table = _table_for(table, int(z_plain.max(initial=0)))
+        at = table[z_plain]
+        unseen = at < 0
+        fresh = z_plain[unseen]
+        new, first = np.unique(fresh, return_index=True)
+        new = new[np.argsort(first)]
+        table[new] = np.arange(n, n + len(new), dtype=np.intc)
+        at[unseen] = table[fresh]
+        index = np.where(z == GOAL_CODE, 1, 2).astype(np.intc)
+        index[plain] = at
+        targets.frombytes(index.tobytes())
         probs.frombytes(w.tobytes())
         sizes.frombytes(size.astype(np.intc).tobytes())
         if n == 3:
             sizes.extend((0, 0))  # g and t
-        new = new[order]
         codes.append(new)
         queue = np.concatenate([queue, new])
         n += len(new)
         if n - 2 > state_cap:
             raise StateBudgetExceeded(f"more than {state_cap} reachable states")
-        known = np.concatenate([known, new])
-        known_at = np.concatenate([known_at, np.arange(n - len(new), n)])
-        by_code = np.argsort(known)
-        known, known_at = known[by_code], known_at[by_code]
     return targets, probs, sizes, np.concatenate(codes)

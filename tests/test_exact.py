@@ -3,13 +3,24 @@
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarepath import exact
 from rarepath.errors import ConvergenceError, ModelError, StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability, row_arrays
-from rarepath.model import GOAL, TABOO, Chain, MarkovModel, coded_arrays
+from rarepath.model import (
+    GOAL,
+    GOAL_CODE,
+    MAX_CODE,
+    TABOO,
+    TABOO_CODE,
+    Chain,
+    MarkovModel,
+    coded_arrays,
+)
 from rarepath.preproc import preprocess
 from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
@@ -316,6 +327,137 @@ def test_bulk_state_cap_enforced():
     with pytest.raises(StateBudgetExceeded):
         exact_hitting_probability(model, state_cap=5)
     assert len(exact_hitting_probability(model, state_cap=32_768)[1]) == 32_768
+
+
+class GappedGrid(MarkovModel):
+    """Two types of ``k`` components with dedicated repair, over gapped codes.
+
+    State (i, j) counts each type's failed components: k failed of one
+    type is the goal, and (0, 0), the initial state, is taboo.  Besides a
+    failure and a repair per type, every state is restored to (0, 0) at
+    rate 4 and fails outright (a shock into the goal) at rate eps, so the
+    sweeps stop after a few dozen.  Code 3 (i k + j) + 1 leaves two of
+    every three codes unused.
+    """
+
+    emits_rates = True
+    epsilon = 0.01
+    initial_state = (0, 0)
+    has_codes = True
+
+    def __init__(self, k):
+        self.k = k
+
+    def is_goal(self, state):
+        return self.k in state
+
+    def is_taboo(self, state):
+        return state == (0, 0)
+
+    def successors(self, state):
+        (i, j), k, eps = state, self.k, self.epsilon
+        down = [x for x in ((i - 1, j), (i, j - 1)) if min(x) >= 0]
+        targets = [(i + 1, j), (i, j + 1), *down, (0, 0), (k, j)]
+        weights = [(k - i) * eps, (k - j) * eps, *[1.0] * len(down), 4.0, eps]
+        orders = [1, 1, *[0] * len(down), 0, 1]
+        return targets, weights, orders
+
+    def encode(self, state):
+        return 3 * (state[0] * self.k + state[1]) + 1
+
+    def decode(self, codes):
+        i, j = np.divmod((codes - 1) // 3, self.k)
+        return list(zip(i.tolist(), j.tolist()))
+
+    def coded_rows(self, codes):
+        """Per row: fail i, fail j, repair i, repair j, restore, shock."""
+        k, eps = self.k, self.epsilon
+        i, j = np.divmod((codes - 1) // 3, k)
+        shape = (len(codes), 6)
+        targets, weights = np.empty(shape, np.int64), np.empty(shape)
+        orders, present = np.empty(shape, np.int64), np.ones(shape, bool)
+        for col, (count, stride) in enumerate(((i, 3 * k), (j, 3))):
+            targets[:, col] = np.where(count + 1 < k, codes + stride, GOAL_CODE)
+            weights[:, col], orders[:, col] = (k - count) * eps, 1
+            present[:, 2 + col] = count > 0
+            targets[:, 2 + col] = np.where(codes - stride == 1, TABOO_CODE, codes - stride)
+            weights[:, 2 + col], orders[:, 2 + col] = 1.0, 0
+        targets[:, 4], weights[:, 4], orders[:, 4] = TABOO_CODE, 4.0, 0
+        targets[:, 5], weights[:, 5], orders[:, 5] = GOAL_CODE, eps, 1
+        return present.sum(axis=1), targets[present], weights[present], orders[present]
+
+
+def test_gapped_codes_build_and_solve_as_row_by_row():
+    """40,000 states in 399 blocks, each at most one diagonal of the grid,
+    with codes up to 119,998: the code table grows from 2 entries to 2**17
+    in eight steps."""
+    model = GappedGrid(200)
+    targets, probs, sizes, codes = coded_arrays(model, 10**6)
+    assert len(sizes) == 40_002 and codes.max() == 119_998
+    rows = row_arrays(Chain(per_row(GappedGrid(200))), 10**6)
+    assert [a.tobytes() for a in (targets, probs, sizes)] == [a.tobytes() for a in rows]
+    bulk, single = exact_hitting_probability(model), exact_hitting_probability(per_row(model))
+    assert bulk[0].hex() == single[0].hex()
+    assert [(k, v.hex()) for k, v in bulk[1].items()] == [
+        (k, v.hex()) for k, v in single[1].items()
+    ]
+
+
+def test_code_at_the_ceiling_raises_without_a_table():
+    """The second block names code MAX_CODE: ModelError, and no table of
+    2**25 C ints (128 MiB) is allocated.  A negative code raises too."""
+
+    class Leap(MarkovModel):
+        initial_state = 0
+        has_codes = True
+        is_goal = is_taboo = successors = None
+
+        def encode(self, state):
+            return state
+
+        def coded_rows(self, codes):
+            leap = np.where(codes == 0, 1, MAX_CODE)
+            targets = np.column_stack([leap, np.full_like(codes, GOAL_CODE)]).ravel()
+            ones = np.ones(len(targets))
+            return np.full(len(codes), 2), targets, ones, ones.astype(np.int64)
+
+    class Below(Leap):
+        initial_state = -3
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="MAX_CODE"):
+            coded_arrays(Leap(), 10**6)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ModelError, match="state code -3 is not in"):
+        coded_arrays(Below(), 10**6)
+
+
+def test_each_sweep_takes_csc_and_allocates_little(monkeypatch):
+    """The unit triangle reaches every sweep in CSC, the layout scipy
+    solves a lower triangle in without building an identity and setting
+    two diagonals.  On DDS dedicated a sweep allocates 1.13 MiB over its
+    base, against 1.50 MiB when it was handed CSR."""
+    solve, over = exact.spsolve_triangular, []
+
+    def traced(unit, *args, **kwargs):
+        assert unit.format == "csc"
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        x = solve(unit, *args, **kwargs)
+        over.append(tracemalloc.get_traced_memory()[1] - base)
+        return x
+
+    monkeypatch.setattr(exact, "spsolve_triangular", traced)
+    tracemalloc.start()
+    try:
+        exact_hitting_probability(make_dds("dedicated", 0.01))
+    finally:
+        tracemalloc.stop()
+    assert len(over) == 20
+    assert max(over) <= 1.25 * 2**20
 
 
 @pytest.mark.parametrize("strategy", COUNT_VECTOR_STRATEGIES)
