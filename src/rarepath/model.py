@@ -15,6 +15,13 @@ ruin with up-rate eps = 0.1 and down-rate 1:
         def is_taboo(self, x): return x == 0
         def successors(self, x): return (x + 1, x - 1), (0.1, 1.0), (1, 0)
 
+Rows with equal weights and equal orders, compared by value, have one
+embedding: a ``Chain`` embeds each distinct (weights, orders) pair of the
+rows it keeps once, and those rows share its probability array and orders
+tuple, so no reader may write a row's probabilities.  Every state of the
+ruin above that is not terminal has one row shape.  A chain whose first
+``SHAPE_PROBE`` rows show no shape twice embeds each later row alone.
+
 A model may also give its rows in bulk, over non-negative integer state
 codes (``has_codes``; the exact oracle reads them, see ``coded_arrays``).
 ``encode`` maps a state to its code, injectively on the non-terminal
@@ -24,9 +31,10 @@ rows: per row its size, and over all rows, row after row, the target
 codes, weights and orders (explicit, never None).  Each row is the
 state's ``successors`` row, position by position in the same order;
 a target that is a goal state reads ``GOAL_CODE`` and one that is taboo
-(and not goal) ``TABOO_CODE``.  Codes index a table of one C int per
-code up to the largest code met, so they must be dense, as mixed-radix
-codes are; a code of ``MAX_CODE`` = 2**24 or more raises ``ModelError``.
+(and not goal) ``TABOO_CODE``; any other negative code raises
+``ModelError``.  Codes index a table of one C int per code up to the
+largest code met, so they must be dense, as mixed-radix codes are; a
+code of ``MAX_CODE`` = 2**24 or more raises ``ModelError``.
 """
 
 from __future__ import annotations
@@ -113,7 +121,14 @@ def embedded_row(
     every order of the row is assigned from its probability.  Targets are
     left as the model gives them.
     """
-    row = targets, weights, orders = model.successors(state)
+    return _embed(model, state, model.successors(state))
+
+
+def _embed(
+    model: MarkovModel, state: State, row: tuple[Sequence, Sequence, Sequence]
+) -> tuple[Sequence[State], list[float], Sequence[int]]:
+    """``embedded_row`` over a row already read from ``model.successors``."""
+    targets, weights, orders = row
     if not targets:
         raise ModelError(f"state {state!r} has no outgoing transitions")
     # summed left to right: sum() compensates on Python >= 3.12, which
@@ -194,13 +209,27 @@ Row = tuple[list[int], array, tuple[int, ...]]
 #: a target of a fetched row that has not been classified yet
 UNSEEN = -1
 
+#: rows a chain keeps before it gives up looking shapes up, if no two of
+#: them share one (DDS FCFS repeats its first shape at row 23, the
+#: redundancy models at row 4; DDS with count-vector states never does)
+SHAPE_PROBE = 64
+
 
 class Chain:
     """The chain of one model in index space, resolved lazily.
 
     Each row is fetched on first request, straight from
     ``model.successors``, and kept unless ``take`` reads it first; a row
-    set by ``set_override`` (cycle removal) replaces the model's.  Only
+    set by ``set_override`` (cycle removal) replaces the model's.  The
+    rows kept share their embeddings by shape: a fetched row's weights and
+    orders are looked up, by value, in a table of the shapes met so far,
+    so rows of one shape hold one probability array (which no reader may
+    write) and one orders tuple.  Only a new shape is embedded, by
+    ``embedded_row``'s rule; ``take`` reads the table but adds nothing
+    to it, so a caller that reads each row once does not grow it.  A chain
+    whose first ``SHAPE_PROBE`` rows kept all differ in shape drops the
+    table and embeds each later row on its own, so a model whose rows do
+    not repeat pays for no lookups past them.  Only
     the last row fetched keeps its target descriptors; an unclassified
     target of another row is re-read from ``model.successors``, which
     gives the same row each time, so indices do not depend on it.  A
@@ -238,8 +267,13 @@ class Chain:
             self.goal_index if model.is_goal(s)
             else self.taboo_index if model.is_taboo(s) else self.s_index
         )
-        #: one tuple per distinct order vector, shared by the rows
+        #: one tuple per distinct order vector, shared by the rows and by
+        #: the keys of ``_shapes``
         self._orders: dict[tuple[int, ...], tuple[int, ...]] = {}
+        #: one embedding per distinct raw row of the rows kept:
+        #: (weights, orders) as tuples -> (probabilities, orders); None once
+        #: the first SHAPE_PROBE rows kept have shown no shape twice
+        self._shapes: dict[tuple[tuple, tuple], tuple[array, tuple[int, ...]]] | None = {}
         #: rows set by cycle removal, the same objects as in ``_rows``
         self.overrides: dict[int, Row] = {}
         self._rows: dict[int, Row] = {}
@@ -286,14 +320,37 @@ class Chain:
         """The row of ``idx``, kept; targets not classified yet read UNSEEN."""
         row = self._rows.get(idx)
         if row is None:
-            if self.is_terminal(idx):
-                raise ModelError("terminal states have no successors")
-            states, probs, orders = embedded_row(self.model, self.indexer.state(idx))
-            orders = tuple(orders)
-            orders = self._orders.setdefault(orders, orders)
-            self._last = idx, states
-            row = self._rows[idx] = (self._known(states), array("d", probs), orders)
+            row = self._rows[idx] = self._read(idx, True)
         return row
+
+    def _read(self, idx: int, keep: bool) -> Row:
+        """The row of ``idx`` from one ``model.successors`` call.
+
+        Its weights and orders are looked up, by value, among the shapes
+        of the rows kept; a known shape gives its probabilities and orders,
+        and a new one is embedded by ``embedded_row``'s rule and, if
+        ``keep``, joins them.  With the table dropped, every row is
+        embedded.
+        """
+        if self.is_terminal(idx):
+            raise ModelError("terminal states have no successors")
+        state = self.indexer.state(idx)
+        row = states, weights, orders = self.model.successors(state)
+        shapes, shape = self._shapes, None
+        if shapes is not None:
+            key = tuple(weights), tuple(orders)
+            shape = shapes.get(key)
+        if shape is None or len(states) != len(weights):
+            _, probs, orders = _embed(self.model, state, row)
+            orders, intern = tuple(orders), self._orders.setdefault
+            shape = array("d", probs), intern(orders, orders)
+            if keep and shapes is not None:
+                shapes[key[0], intern(key[1], key[1])] = shape
+                # every row held so far has a shape of its own: stop looking
+                if len(self._rows) + 1 == len(shapes) == SHAPE_PROBE:
+                    self._shapes = None
+        self._last = idx, states
+        return self._known(states), *shape
 
     def _states(self, idx: int) -> Sequence[State]:
         """Target descriptors of the fetched row of ``idx``, re-read unless last."""
@@ -329,12 +386,14 @@ class Chain:
 
         A row the chain holds already (fetched before, or an override) is
         classified in place and kept, as by ``row``; any other row is
-        dropped once read, so a caller that reads each row once keeps none.
+        dropped once read, and its shape is not kept, so a caller that reads
+        each row once keeps none.
         """
-        held = idx in self._rows
+        if idx in self._rows:
+            return self.row(idx)
+        self._rows[idx] = self._read(idx, False)
         row = self.row(idx)
-        if not held:
-            del self._rows[idx]
+        del self._rows[idx]
         return row
 
     def folded_row(self, idx: int, inner: frozenset[int]) -> Row:
@@ -412,8 +471,10 @@ def coded_arrays(
     to right (over padded columns, 0.0 where a row is shorter) and divided
     by that sum.  A block with a row that fails one of ``embedded_row``'s
     checks raises the ``ModelError`` that ``embedded_row`` raises for the
-    first such row; one that takes the chain past ``state_cap``
-    non-terminal states raises ``StateBudgetExceeded``.
+    first such row, and one with a negative target code other than
+    ``GOAL_CODE`` and ``TABOO_CODE`` a ``ModelError`` naming its state;
+    one that takes the chain past ``state_cap`` non-terminal states raises
+    ``StateBudgetExceeded``.
     """
     queue = np.array([model.encode(model.initial_state)], np.int64)
     table = _table_for(np.empty(0, np.intc), int(queue[0]))  # index per code, -1 unseen
@@ -432,7 +493,8 @@ def coded_arrays(
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
             for column in padded.T[1:]:
                 total += column
-        bad = ~(w > 0.0) | (r < 0)
+        # GOAL_CODE and TABOO_CODE are the only negative codes
+        bad = ~(w > 0.0) | (r < 0) | (z < min(GOAL_CODE, TABOO_CODE))
         ok = (size > 0) & (total < math.inf)
         if not model.emits_rates:
             bad |= w > 1.0

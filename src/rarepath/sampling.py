@@ -213,6 +213,10 @@ class Sampler:
         self._shared: dict = {}
         #: bfb/igbs: cumulative q per (orders, context), all the rule reads
         self._cums: dict[tuple[tuple[int, ...], bool], tuple[float, ...]] = {}
+        #: p/q of the last cumulative q compiled with each probability array
+        #: (shared by the chain's rows of one shape), by the array's id:
+        #: (p/q, cumulative q, probabilities), which hold the ids
+        self._ratios: dict[int, tuple] = {}
         #: what every path reads, unpacked by ``sample`` in one load; where
         #: the node id is the chain index, Chain.target resolves a position
         self._consts = (
@@ -226,7 +230,9 @@ class Sampler:
         The row is fetched, not classified: only a ZVA step in context reads
         targets, and only in Lambda, whose rows preprocessing classified.
         p/q is taken over the width of each interval of the cumulative q; a
-        width of 0 is never drawn, ratio 0.
+        width of 0 is never drawn, ratio 0.  A row with the probability
+        array and cumulative q of the last step compiled from that array
+        takes that step's p/q.
         """
         com, pairs = self.com, self._pairs
         state, context = (node, False) if pairs is None else pairs[node]
@@ -240,10 +246,14 @@ class Sampler:
             cum = self._share(cum)
             if key is not None:
                 self._cums[key] = cum
-        ratios = self._share([
-            p / w if (w := hi - lo) > 0.0 else 0.0
-            for p, lo, hi in zip(probs, (0.0, *cum), cum)
-        ])
+        known = self._ratios.get(id(probs))
+        if known is None or known[1] is not cum:
+            ratios = self._share([
+                p / w if (w := hi - lo) > 0.0 else 0.0
+                for p, lo, hi in zip(probs, (0.0, *cum), cum)
+            ])
+            known = self._ratios[id(probs)] = ratios, cum, probs
+        ratios = known[0]
         table = self._steps
         if len(table) <= node:
             table.extend([None] * (node + 1 - len(table)))

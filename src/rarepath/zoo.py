@@ -240,23 +240,25 @@ class DdsModel(MarkovModel):
     def initial_state(self) -> tuple:
         return () if self.strategy == "fcfs" else (0,) * 9
 
-    def _counts(self, state: tuple) -> Sequence[int]:
-        if self.strategy != "fcfs":
-            return state
-        counts = [0] * 9
-        for i in state:
-            counts[i] += 1
-        return counts
-
     def is_goal(self, state: tuple) -> bool:
-        return any(map(ge, self._counts(state), _DDS_DOWN_LIMIT))
+        if self.strategy != "fcfs":
+            return any(map(ge, state, _DDS_DOWN_LIMIT))
+        count = state.count  # FCFS: some type is listed as often as its limit
+        for i in state:
+            if count(i) >= _DDS_DOWN_LIMIT[i]:
+                return True
+        return False
 
     def is_taboo(self, state: tuple) -> bool:
         # FCFS: the failure list is empty
         return not state if self.strategy == "fcfs" else not any(state)
 
     def successors(self, state: tuple) -> tuple[list, list[float], list[int]]:
-        counts = self._counts(state)
+        counts = state
+        if self.strategy == "fcfs":  # count the failure list once
+            counts = [0] * 9
+            for i in state:
+                counts[i] += 1
         up = [i for i, x in enumerate(counts) if x < _DDS_COUNTS[i]]
         if self.strategy == "fcfs":
             down = state[:1]  # the head of the failure list

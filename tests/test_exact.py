@@ -435,6 +435,41 @@ def test_code_at_the_ceiling_raises_without_a_table():
         coded_arrays(Below(), 10**6)
 
 
+def test_stray_negative_target_code_raises_naming_its_state():
+    """A negative target code other than GOAL_CODE and TABOO_CODE is a
+    fault of the hook, not a taboo edge: state 1's hook row names -7."""
+
+    class Stray(MarkovModel):
+        """0 <-> 1 at rate 1, each into the goal (2) at rate 0.1."""
+
+        initial_state = 0
+        has_codes = True
+
+        def is_goal(self, state):
+            return state == 2
+
+        def is_taboo(self, state):
+            return False
+
+        def successors(self, state):
+            return [1 - state, 2], [1.0, 0.1], [0, 1]
+
+        def encode(self, state):
+            return state
+
+        def decode(self, codes):
+            return codes.tolist()
+
+        def coded_rows(self, codes):
+            other = np.where(codes == 0, 1, -7)
+            targets = np.column_stack([other, np.full_like(codes, GOAL_CODE)]).ravel()
+            weights = np.tile([1.0, 0.1], len(codes))
+            return np.full(len(codes), 2), targets, weights, np.tile([0, 1], len(codes))
+
+    with pytest.raises(ModelError, match="coded row of 1 differs"):
+        coded_arrays(Stray(), 10)
+
+
 def test_each_sweep_takes_csc_and_allocates_little(monkeypatch):
     """The unit triangle reaches every sweep in CSC, the layout scipy
     solves a lower triangle in without building an identity and setting

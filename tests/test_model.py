@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rarepath.errors import ModelError
 from rarepath.model import (
     GOAL,
+    SHAPE_PROBE,
     TABOO,
     UNSEEN,
     Chain,
@@ -243,6 +244,137 @@ def test_chain_rejects_a_row_that_changes_between_calls(read):
     chain.row(chain.target(a, 0))  # "b" is now the last row fetched
     with pytest.raises(ModelError, match="'a'"):
         read(chain, a)
+
+
+class Ladder(MarkovModel):
+    """States 0 (taboo) to 5 (goal): an inner state steps up at rate eps
+    (order 1) and down at rate 1 (order 0), so states 1 to 3 share one
+    row shape; state 4 steps down at rate 2, and a state in ``odd`` steps
+    up at order 2."""
+
+    emits_rates = True
+    epsilon = 0.1
+    initial_state = 1
+
+    def __init__(self, odd=()):
+        self.odd = odd
+
+    def is_goal(self, state):
+        return state == 5
+
+    def is_taboo(self, state):
+        return state == 0
+
+    def successors(self, state):
+        weights = [self.epsilon, 2.0 if state == 4 else 1.0]
+        return [state + 1, state - 1], weights, [2 if state in self.odd else 1, 0]
+
+
+def ladder_rows(chain, states):
+    """The fetched rows of ``states``, walking up from s."""
+    idx, rows = chain.s_index, {}
+    for state in range(1, max(states) + 1):
+        if state in states:
+            rows[state] = chain.fetch(idx)
+        idx = chain.target(idx, 0)
+    return rows
+
+
+def test_rows_of_one_shape_share_one_embedding():
+    """Equal weights and orders are embedded once: the rows share their
+    probability array and orders tuple, but not their targets."""
+    model = Ladder()
+    rows = ladder_rows(Chain(model), {1, 2, 3, 4})
+    assert rows[1][1] is rows[2][1] is rows[3][1] is not rows[4][1]
+    assert rows[1][2] is rows[2][2] is rows[3][2]
+    assert rows[1][0] is not rows[2][0]
+    assert all(list(rows[x][1]) == embedded_row(model, x)[1] for x in rows)
+
+
+def test_equal_weights_with_other_orders_embed_apart():
+    """A shape is its weights and orders together: a row with the weights
+    of an earlier one but other orders gets its own embedding, and does
+    not displace the earlier shape."""
+    model = Ladder(odd={2})
+    rows = ladder_rows(Chain(model), {1, 2, 3})
+    assert rows[1][2] == rows[3][2] == (1, 0) and rows[2][2] == (2, 0)
+    assert list(rows[2][1]) == embedded_row(model, 2)[1]
+    assert rows[1][1] is rows[3][1] is not rows[2][1]
+    assert rows[1][2] is rows[3][2]
+
+
+def test_known_shape_with_other_target_count_raises_as_embedded_row():
+    class Short(Ladder):
+        """State 2 has the weights of state 1 but one target."""
+
+        def successors(self, state):
+            targets, weights, orders = super().successors(state)
+            return targets[: 1 if state == 2 else 2], weights, orders
+
+    model = Short()
+    chain = Chain(model)
+    chain.fetch(chain.s_index)
+    with pytest.raises(ModelError) as expected:
+        embedded_row(model, 2)
+    with pytest.raises(ModelError) as got:
+        chain.fetch(chain.target(chain.s_index, 0))
+    assert str(got.value) == str(expected.value)
+
+
+def test_take_leaves_the_shapes_unchanged():
+    """``take`` reads a known shape's embedding but adds no shape: not a
+    new one (state 4), nor new orders of known weights (state 3)."""
+    chain = Chain(Ladder(odd={3}))
+    kept = chain.fetch(chain.s_index)
+    shapes = dict(chain._shapes)
+    idx, taken = chain.target(chain.s_index, 0), []
+    for _ in range(3):
+        taken.append(chain.take(idx))
+        idx = taken[-1][0][0]
+    assert taken[0][1] is kept[1] and taken[0][2] is kept[2]
+    assert [row[2] for row in taken] == [(1, 0), (2, 0), (1, 0)]
+    assert chain._shapes.keys() == shapes.keys()
+    assert all(chain._shapes[key] is shape for key, shape in shapes.items())
+    assert list(chain._rows) == [chain.s_index]
+
+
+class Walk(MarkovModel):
+    """States 0 (taboo) to 200 (goal): state x steps up at rate eps and
+    down at rate 1 + x % ``period``, so rows repeat a shape every
+    ``period`` states."""
+
+    emits_rates = True
+    epsilon = 0.1
+    initial_state = 1
+
+    def __init__(self, period):
+        self.period = period
+
+    def is_goal(self, state):
+        return state == 200
+
+    def is_taboo(self, state):
+        return state == 0
+
+    def successors(self, state):
+        return [state + 1, state - 1], [self.epsilon, 1.0 + state % self.period], [1, 0]
+
+
+@pytest.mark.parametrize("period, looks", [(30, True), (1000, False)])
+def test_chain_stops_looking_up_shapes_that_never_repeat(period, looks):
+    """A chain whose first SHAPE_PROBE rows kept are all distinct drops its
+    shape table; one that met a repeat keeps it.  Rows read either way
+    are ``embedded_row``'s."""
+    model = Walk(period)
+    chain = Chain(model)
+    rows = ladder_rows(chain, set(range(1, SHAPE_PROBE + 40)))
+    assert (chain._shapes is not None) == looks
+    if looks:
+        assert len(chain._shapes) == period
+        assert rows[1][1] is rows[1 + period][1]
+    for x, row in rows.items():
+        assert list(row[1]) == embedded_row(model, x)[1]
+        assert list(row[2]) == embedded_row(model, x)[2]
 
 
 def test_indexer_is_a_bijection():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rarepath import sampling
 from rarepath.errors import ConfigError, ConvergenceError
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import UNSEEN, Chain, MarkovModel, embedded_row
+from rarepath.model import UNSEEN, Chain, MarkovModel
 from rarepath.preproc import preprocess
 from rarepath.sampling import (
     ChangeOfMeasure,
@@ -234,15 +234,17 @@ def test_sample_path_terminates_and_labels_dominance():
 
 
 def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
-    """The sampler reads the rows preprocessing embedded from its chain and
-    embeds each further row once.  The chain keeps the target descriptors
-    of the last row fetched only, so every other model call re-reads a held
-    row, to resolve one of its targets."""
-    embedded = []
+    """The sampler reads the rows preprocessing fetched from its chain and
+    reads each further row once: a fresh read is a ``Chain._read`` call.
+    The chain keeps the target descriptors of the last row fetched only, so
+    every other model call re-reads a held row, to resolve one of its
+    targets."""
+    fresh = []
+    read = Chain._read
 
-    def counting_embedded_row(model, state):
-        embedded.append(state)
-        return embedded_row(model, state)
+    def counting_read(chain, idx, keep):
+        fresh.append(chain.indexer.state(idx))
+        return read(chain, idx, keep)
 
     class CountingDds(DdsModel):
         def __init__(self, *args):
@@ -253,26 +255,26 @@ def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
             self.expanded.append(state)
             return super().successors(state)
 
-    monkeypatch.setattr("rarepath.model.embedded_row", counting_embedded_row)
+    monkeypatch.setattr(Chain, "_read", counting_read)
     model = CountingDds("fcfs", 0.01)
     result = preprocess(model)
-    assert model.expanded == embedded  # preprocessing re-reads nothing
-    chain, resolved = result.chain, set(embedded)
+    assert model.expanded == fresh  # preprocessing re-reads nothing
+    chain, resolved = result.chain, set(fresh)
 
     def unseen(state):
         return chain.fetch(chain.indexer.lookup(state))[0].count(UNSEEN)
 
     before = {x: unseen(x) for x in resolved}
     model.expanded.clear()
-    embedded.clear()
+    fresh.clear()
     com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
     run_estimator(model, com, n_runs=2000, seed=0)
-    assert embedded, "no path left the resolved states"
-    assert not resolved.intersection(embedded)
-    assert len(set(embedded)) == len(embedded)
-    rereads = Counter(model.expanded) - Counter(embedded)
+    assert fresh, "no path left the resolved states"
+    assert not resolved.intersection(fresh)
+    assert len(set(fresh)) == len(fresh)
+    rereads = Counter(model.expanded) - Counter(fresh)
     assert rereads, "no path resolved a target of an older row"
-    assert rereads.total() == len(model.expanded) - len(embedded)
+    assert rereads.total() == len(model.expanded) - len(fresh)
     for x, n in rereads.items():
         row = chain.fetch(chain.indexer.lookup(x))[0]
         assert n <= before.get(x, len(row)) - unseen(x), x
@@ -280,8 +282,9 @@ def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
 
 def test_bfb_estimate_memory_is_bounded():
     """A sampler's chain keeps the target descriptors of its last fetched
-    row only: an 8.5 MiB traced peak here, 19.5 MiB when it kept every
-    row's."""
+    row only: a 10.1 MiB traced peak here, with the chain's shape table
+    and the sampler's p/q table (9.3 MiB with one probability array per
+    row), 19.5 MiB when it kept every row's."""
     model = make_dds("fcfs", 0.01)
     tracemalloc.start()
     try:
@@ -591,6 +594,35 @@ def test_sampled_paths_are_pinned(name, kind, paths):
         ):
             counts[j] += value
     assert (sum1.hex(), sum2.hex(), *counts) == PINNED_PATHS[name, kind, paths]
+
+
+#: (model, measure) -> the seven moments of ``_run_stream`` over 2,000 paths
+#: at seed 23 (paths, sums of X and X^2, hits, non-dominant paths and their
+#: sums of X and X^2), floats by ``float.hex``
+PINNED_STREAMS = {
+    ("fcfs", "bfb"): (
+        2000, "0x1.6f995e35b0eb5p-3", "0x1.a443c3b32548ap-10", 401, 2000,
+        "0x1.6f995e35b0eb5p-3", "0x1.a443c3b32548ap-10"),
+    ("fcfs", "mc"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
+    ("fcfs", "zva-delta"): (
+        2000, "0x1.0d7bbc993a888p-2", "0x1.7ad7f5fd01a85p-14", 1810, 346,
+        "0x1.dd872ae9e98bap-5", "0x1.0f9eebc2527d5p-14"),
+    ("redundancy", "bfb"): (
+        2000, "0x1.4f688a643f11dp-86", "0x1.a66ee4db578e9p-172", 74, 2000,
+        "0x1.4f688a643f11dp-86", "0x1.a66ee4db578e9p-172"),
+    ("redundancy", "mc"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
+    ("redundancy", "zva-delta"): (
+        2000, "0x1.c1ca065fed7c8p-53", "0x1.af1bba3a2464cp-115", 1504, 1871,
+        "0x1.b3bffb6689652p-53", "0x1.ac0d706d32abfp-115"),
+}
+
+
+@pytest.mark.parametrize("name, kind", list(PINNED_STREAMS))
+def test_stream_moments_are_pinned(name, kind):
+    model = PIN_MODELS[name]()
+    moments = sampling._run_stream(model, com_for(kind, model), 2000, 23, 0)
+    got = tuple(m.hex() if isinstance(m, float) else m for m in moments)
+    assert got == PINNED_STREAMS[name, kind]
 
 
 # ----------------------------------------------------------- statistics

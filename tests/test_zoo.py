@@ -1,5 +1,6 @@
 """Benchmark models: contract validation and external reference values."""
 
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -12,6 +13,7 @@ from rarepath.preproc import preprocess
 from rarepath.zoo import (
     DDS_STRATEGIES,
     ComponentType,
+    DdsModel,
     MulticomponentModel,
     build_model,
     make_birth_death_chain,
@@ -267,6 +269,38 @@ def test_dds_coded_rows_match_successors_on_every_reachable_state(strategy):
             w.hex() for w in expect_weights
         ]
         assert orders[start:end].tolist() == expect_orders
+
+
+def test_dds_fcfs_rows_and_goal_answers_preprocessing_reads_are_pinned():
+    """Every row that preprocessing reads from DDS fcfs at eps = 0.01 (its
+    targets, ``float.hex`` weights and orders) and every ``is_goal``
+    answer, in call order, by the sha256 of their dumps."""
+
+    class Recording(DdsModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.rows, self.goals = [], []
+
+        def successors(self, state):
+            row = targets, weights, orders = super().successors(state)
+            self.rows.append(f"{targets!r}|{[w.hex() for w in weights]}|{list(orders)!r}")
+            return row
+
+        def is_goal(self, state):
+            goal = super().is_goal(state)
+            self.goals.append(f"{state!r}|{goal}")
+            return goal
+
+    model = Recording("fcfs", 0.01)
+    preprocess(model)
+    digests = {
+        name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+        for name, lines in (("rows", model.rows), ("goals", model.goals))
+    }
+    assert digests == {
+        "rows": (4660, "318bb6187ad8f3c278aab681921379a5e9f41c795f299f9d8363ad83885c25e9"),
+        "goals": (5005, "e6580fe270e1bba544f6efafdf6f95b993090c61173cc274d068928b1cac9dd4"),
+    }
 
 
 # ------------------------------------------------------------- registry
