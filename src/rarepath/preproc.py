@@ -19,9 +19,10 @@ rows in one format (``model.Row``):
   mass.
 
 Both uses of an order-0 cycle, the exit distribution and the frontier
-values, come from one direct solve of the absorbing system
-(``solve_absorbing``).  Every phase visits states in an order fixed by
-their discovery indices and row positions, so results are deterministic.
+values, come from one subtraction-free elimination (``solve_absorbing``),
+which needs no tolerance, however little mass leaves the cycle.  Every
+phase visits states in an order fixed by their discovery indices and row
+positions, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
-from functools import reduce
-from operator import add
-
-import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 from dataclasses import dataclass
+from functools import reduce
+from math import fsum
+from operator import add
 from typing import Mapping
 
-from rarepath.errors import ConvergenceError, GoalUnreachableError, ModelError
+from rarepath.errors import GoalUnreachableError, ModelError
 from rarepath.model import Chain, MarkovModel, Row
 from rarepath.orders import INFINITY, Order
 
@@ -49,45 +47,53 @@ def solve_absorbing(
     rows: Mapping[int, Row],
     members: list[int],
     positions: Mapping[int, list[int]] | None = None,
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[list[int], list[list[float]]]:
     """Probabilities of leaving a set of states through each of its exits.
 
     Reads the row positions ``positions[x]`` of every member x (all of
     ``rows[x]`` by default); a target that is a member is internal, any
-    other is an exit.  Returns the sorted exits and M, one row per member
-    in ``members``' order and one column per exit, with
+    other is an exit, and the positions not read lead to a sink.  Returns
+    the sorted exits and M, one row per member in ``members``' order and
+    one column per exit, with
 
-        M[x][z] = p(x, z) + sum over members x2 of p(x, x2) * M[x2][z],
+        M[x][z] = p(x, z) + sum over members x2 of p(x, x2) * M[x2][z].
 
-    from one sparse LU solve of (I - P) M = D.  The solve is direct because
-    a fixed-point iteration, and the oracle's Gauss-Seidel bracket, need on
-    the order of 1/p_exit sweeps when the mass leaving the set is tiny; it
-    is sparse because member sets have no size bound.
+    The GTH elimination (Grassmann, Taksar & Heyman, 1985) removes the
+    members in order, then back-substitutes: a member's leave mass is the
+    sum of its entries to the members left, the exits and the sink, never
+    1 - p(x, x).  Nothing is subtracted, so every entry of M keeps a small
+    relative error however little mass leaves the set (O'Cinneide, 1993).
     """
-    pos = {x: i for i, x in enumerate(members)}
-    n = len(members)
-    stay = [(1.0, i, i) for i in range(n)]  # the entries of I - P
-    leave = []  # (member position, exit, p)
-    for i, x in enumerate(members):
+    left: dict[int, dict] = {}  # to the members left, the exits, the sink (None)
+    for x in members:
         targets, probs, _orders = rows[x]
-        for k in range(len(targets)) if positions is None else positions[x]:
-            z, p = targets[k], probs[k]
-            if z in pos:
-                stay.append((-p, i, pos[z]))
-            else:
-                leave.append((i, z, p))
-    exits = sorted({z for _i, z, _p in leave})
+        read = range(len(targets)) if positions is None else positions[x]
+        left[x] = row = {None: fsum([p for k, p in enumerate(probs) if k not in read])}
+        for k in read:
+            if targets[k] != x:  # a self-loop only delays the exit
+                row[targets[k]] = row.get(targets[k], 0.0) + probs[k]
+    exits = sorted({z for row in left.values() for z in row} - left.keys() - {None})
     if not exits:
         raise ModelError("order-0 cycle with no exit transitions")
-    column = {z: j for j, z in enumerate(exits)}
-    d = np.zeros((n, len(exits)))
-    for i, z, p in leave:
-        d[i, column[z]] += p
-    data, ri, ci = zip(*stay)
-    m = spsolve(csc_matrix((data, (ri, ci)), shape=(n, n)), d).reshape(d.shape)
-    if not np.all(np.isfinite(m)):
-        raise ConvergenceError("absorbing solve of an order-0 cycle failed")
-    return exits, m
+    for i, k in enumerate(members):
+        total = fsum(left[k].values())
+        left[k] = row_k = {z: p / total for z, p in left[k].items()}
+        for x in members[i + 1 :]:
+            if k in (row := left[x]):
+                w = row.pop(k)
+                for z, p in row_k.items():
+                    if z != x:  # mass returning to x is a self-loop, dropped
+                        row[z] = row.get(z, 0.0) + w * p
+    m: dict[int, dict[int, float]] = {}
+    for k in reversed(members):
+        m[k] = acc = {}
+        for z, p in left[k].items():
+            if z in m:
+                for y, q in m[z].items():
+                    acc[y] = acc.get(y, 0.0) + p * q
+            elif z is not None:
+                acc[z] = acc.get(z, 0.0) + p
+    return exits, [[m[x].get(z, 0.0) for z in exits] for x in members]
 
 
 def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
@@ -137,15 +143,8 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
             if z not in members_set and r < exit_order[z]:
                 exit_order[z] = r
     base = min(exit_order.values())
-    for x, mu in zip(members, m.tolist()):
-        total = reduce(add, mu, 0.0)
-        # the system gets ill-conditioned as the exit mass shrinks (cond
-        # ~ 1/p_exit), so allow a commensurate residual and renormalize
-        if abs(total - 1.0) > 1e-6:
-            raise ConvergenceError(
-                f"exit probabilities of cycle member sum to {total}, not 1"
-            )
-        kept, probs = zip(*[(z, p / total) for z, p in zip(exits, mu) if p / total > 0.0])
+    for x, mu in zip(members, m):
+        kept, probs = zip(*[(z, p) for z, p in zip(exits, mu) if p > 0.0])
         orders = tuple(exit_order[z] - base for z in kept)
         chain.set_override(x, (list(kept), array("d", probs), orders))
     return members
@@ -240,10 +239,10 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     (``processing_order``).  Cycle removal left no order-0 cycle inside
     Lambda, but frontier states may still form one; the pass never reaches
     the states caught in or behind such a cycle.  Each has a dominant path
-    out of their set, so I - P is non-singular and their v is M v(exits):
-    M holds the probabilities of leaving along dominant edges
-    (``solve_absorbing``), and every exit's v is known.  States that cannot
-    reach g come last, with v = 0.
+    out of their set, and their v is M v(exits): M holds the
+    probabilities of leaving along dominant edges (``solve_absorbing``;
+    every other edge leads to a sink with v = 0), and every exit's v is
+    known.  States that cannot reach g come last, with v = 0.
     """
     goal = chain.goal_index
     taboo = chain.taboo_index
@@ -311,7 +310,7 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     rest = [x for x in dominant if x not in v]
     if rest:
         exits, m = solve_absorbing(rows, rest, dominant)
-        v.update(zip(rest, (m @ np.array([v[z] for z in exits])).tolist()))
+        v.update(zip(rest, [fsum(p * v[z] for p, z in zip(mu, exits)) for mu in m]))
     unreachable = sorted(x for x in nodes if db[x] == INFINITY)
     v.update(dict.fromkeys(unreachable, 0.0))
     order = (goal, *done, *rest, *unreachable)

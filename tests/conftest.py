@@ -85,23 +85,38 @@ def enumerate_chain(
 
 
 def dense_hitting_probability(model: MarkovModel, result=None):
-    """Goal-before-taboo probability per state via a dense linear solve."""
+    """Goal-before-taboo probability per state via a dense linear solve.
+
+    States with no path to g read exactly 0, as in the oracle, and stay
+    out of the solve, which would give them round-off instead.
+    """
     rows = enumerate_chain(model, result)
-    nodes = list(rows)
+    entering: dict = {x: [] for x in rows}
+    entering[GOAL] = []
+    for x, row in rows.items():
+        for z, _p, _r in row:
+            if z is not TABOO:
+                entering[z].append(x)
+    nodes, stack = [], [GOAL]  # the states with a path to g
+    seen = {GOAL}
+    while stack:
+        for x in entering[stack.pop()]:
+            if x not in seen:
+                seen.add(x)
+                nodes.append(x)
+                stack.append(x)
     pos = {x: i for i, x in enumerate(nodes)}
     a = np.eye(len(nodes))
     b = np.zeros(len(nodes))
-    for x, row in rows.items():
+    for x in nodes:
         i = pos[x]
-        for z, p, _r in row:
+        for z, p, _r in rows[x]:
             if z is GOAL:
                 b[i] += p
-            elif z is TABOO:
-                pass
-            else:
+            elif z in pos:
                 a[i, pos[z]] -= p
     sol = np.linalg.solve(a, b)
-    return {x: float(sol[pos[x]]) for x in nodes}
+    return {x: float(sol[pos[x]]) if x in pos else 0.0 for x in rows}
 
 
 def bellman_ford_distance(model: MarkovModel, result=None):

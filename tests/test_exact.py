@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rarepath import exact
@@ -148,6 +148,13 @@ def small_dtmcs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(small_dtmcs())
+# state 3 cannot reach g: both solvers must read exactly 0 there
+@example(TableModel({
+    0: ([3, 2, "g"], [1 / 3] * 3),
+    1: (["g"], [1.0]),
+    2: ([0, "g"], [0.5, 0.5]),
+    3: ([3, "t"], [5 / 6, 1 / 6]),
+}))
 def test_random_dtmcs_agree_with_dense_direct_solve(model):
     pi_s, pi = exact_hitting_probability(model)
     reference = dense_hitting_probability(model)

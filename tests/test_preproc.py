@@ -7,15 +7,13 @@ enumeration) or against hand-computed values on small chains.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rarepath.errors import (
-    ConvergenceError,
-    GoalUnreachableError,
-    ModelError,
-    StateBudgetExceeded,
-)
+from rarepath.errors import GoalUnreachableError, ModelError, StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import UNSEEN, MarkovModel
 from rarepath.orders import INFINITY
@@ -244,7 +242,7 @@ def test_cycle_removal_preserves_hitting_probability(factory):
 def test_replacement_rows_are_stochastic_with_no_zero_order_self_loop(factory):
     result = preprocess(factory())
     for idx, (targets, probs, orders) in result.chain.overrides.items():
-        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(probs) == pytest.approx(1.0, rel=0.0, abs=4 * math.ulp(1.0))
         assert all(r >= 0 for r in orders)
         assert all(z != idx or r > 0 for z, r in zip(targets, orders))
         assert min(orders) == 0
@@ -262,12 +260,12 @@ def _preproc_dump(result):
 
 #: sha256 of ``_preproc_dump``, with the number of override rows and of v values
 PINNED_PREPROC = {
-    "deferred-0.1": (2, 11, "0ad41c07c9e4d711baf71940d2030c433adac6760a92ae8376f52ebff28bea88"),
-    "deferred-0.01": (2, 11, "ebe1e213cfcc12721ede362a5ace753ae1e7f34db6c3132b5f950002900ef9f6"),
-    "deferred-0.001": (2, 11, "9cf595a8166a955d01f4dfc16d8ce6d5323e5d0cc401a55fa5f462487ce3b9cb"),
-    "unbalanced-0.1": (3, 13, "1e06cf6a622f9914a1d418bb5f69bb2c59aa2df836a672cd685ea9b16abf971b"),
-    "unbalanced-0.01": (3, 13, "36491ae042f18081e42d71359d36d85b52023735accd8736e7037d4a0212cb13"),
-    "unbalanced-0.001": (3, 13, "11bee3e79244475ee9bed2a279dc7fce378d3e943bb0748b914a7928ce7b42d2"),
+    "deferred-0.1": (2, 11, "70ee7c56736baa2ce9b217c8544aa2ed376809cfab36cd05febe1021bc083681"),
+    "deferred-0.01": (2, 11, "f9365c3413bc74019543489c704f1a8a22bb399b07d302df2a7105b98874c888"),
+    "deferred-0.001": (2, 11, "58bae3716c23f7936520626667eb45b1f3b4db0b23a56f0ccb517c99017275cb"),
+    "unbalanced-0.1": (3, 13, "db9d6c6025603f8d577daca5e339fe8910bb5eb4d23e536ad439839aba9cb794"),
+    "unbalanced-0.01": (3, 13, "b6d9a4bf63071c083bea8473834fa885934a1b64b9dae83f42c4f1610357984b"),
+    "unbalanced-0.001": (3, 13, "80a2c7c5634aeb9c2bb9e56d5f2ac81a22b5ca2ee6b545163e2bcc85eaafefa9"),
     "frontier-cycle": (0, 8, "820f80d35a2571e9906b9d53428a6dac5446b0610322a484a117fb49266e62e3"),
 }
 
@@ -288,10 +286,10 @@ def test_replacement_rows_and_values_pinned(name):
     assert got == PINNED_PREPROC[name], dump
 
 
-@pytest.mark.parametrize("p_exit", [1e-6, 1e-9])
+@pytest.mark.parametrize("p_exit", [1e-6, 1e-9, 1e-12, 1e-15])
 def test_near_absorbing_loop_gets_stochastic_replacement_rows(p_exit):
     """Loop a <-> b with internal mass 1 - p_exit, each member with its
-    own exit: the replacement rows are renormalised to sum to 1, and by
+    own exit: the replacement rows sum to 1 within a few ulps, and by
     symmetry a leaves through g first slightly more often than not."""
     result = preprocess(_Table({
         "s": [("a", 1.0, 0)],
@@ -304,8 +302,8 @@ def test_near_absorbing_loop_gets_stochastic_replacement_rows(p_exit):
     for targets, probs, orders in rows.values():
         assert targets == [chain.goal_index, chain.taboo_index]
         assert orders == (0, 0)
-        assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-9)
-    assert rows["a"][1][0] == pytest.approx(1.0 / (2.0 - p_exit), rel=1e-6)
+        assert probs[0] + probs[1] == pytest.approx(1.0, rel=0.0, abs=4 * math.ulp(1.0))
+    assert rows["a"][1][0] == pytest.approx(1.0 / (2.0 - p_exit), rel=1e-15)
 
 
 def test_exit_distribution_closed_form_two_member_loop():
@@ -322,18 +320,18 @@ def test_exit_distribution_closed_form_two_member_loop():
 
 
 def test_exit_distribution_with_tiny_exit_mass():
-    """Near-absorbing loop: internal mass 1 - 1e-9 must still solve."""
-    eps = 1e-9
-    rows = {
-        0: ([1, 10], [1.0 - eps, eps], (0, 9)),
-        1: ([11, 0], [eps, 1.0 - eps], (9, 0)),
-    }
-    exits, mu = solve_absorbing(rows, [0, 1])
-    assert exits == [10, 11]
-    # by symmetry each member leaves through its own exit first slightly
-    # more often than not
-    assert mu[0][0] == pytest.approx(1.0 / (2.0 - eps), rel=1e-6)
-    assert mu[1][1] == pytest.approx(1.0 / (2.0 - eps), rel=1e-6)
+    """Near-absorbing loop: internal mass 1 - eps must still solve."""
+    for eps in (1e-9, 1e-12, 1e-15):
+        rows = {
+            0: ([1, 10], [1.0 - eps, eps], (0, 9)),
+            1: ([11, 0], [eps, 1.0 - eps], (9, 0)),
+        }
+        exits, mu = solve_absorbing(rows, [0, 1])
+        assert exits == [10, 11]
+        # by symmetry each member leaves through its own exit first
+        # slightly more often than not
+        assert mu[0][0] == pytest.approx(1.0 / (2.0 - eps), rel=1e-15)
+        assert mu[1][1] == pytest.approx(1.0 / (2.0 - eps), rel=1e-15)
 
 
 def test_exit_distribution_self_loop():
@@ -342,6 +340,79 @@ def test_exit_distribution_self_loop():
     exits, mu = solve_absorbing(rows, [0])
     assert exits == [1, 2]
     assert mu[0] == pytest.approx([0.6, 0.4])
+
+
+def rational_exits(rows, members, positions=None):
+    """``solve_absorbing``'s exits and M in exact arithmetic: every row is
+    scaled to sum to 1 over all of its positions, the positions not read
+    lead nowhere, and (I - P) M = D is solved by Gauss-Jordan elimination
+    over fractions."""
+    index = {x: i for i, x in enumerate(members)}
+    n = len(members)
+    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [{} for _ in members]
+    for i, x in enumerate(members):
+        targets, probs, _orders = rows[x]
+        total = sum(map(Fraction, probs))
+        for k in range(len(targets)) if positions is None else positions[x]:
+            z, p = targets[k], Fraction(probs[k]) / total
+            if z in index:
+                a[i][index[z]] -= p
+            else:
+                d[i][z] = d[i].get(z, 0) + p
+    exits = sorted({z for row in d for z in row})
+    b = [[row.get(z, Fraction(0)) for z in exits] for row in d]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c])
+        a[c], a[pivot], b[c], b[pivot] = a[pivot], a[c], b[pivot], b[c]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [u - f * w for u, w in zip(a[r], a[c])]
+                b[r] = [u - f * w for u, w in zip(b[r], b[c])]
+    return exits, [[u / a[i][i] for u in b[i]] for i in range(n)]
+
+
+@st.composite
+def small_cycles(draw):
+    """Members 0..n-1 on a ring, with self-loops, repeated targets and
+    exits to 10, 11 and 12 whose mass is log-uniform down to 1e-15; member
+    0 always has an exit.  ``positions`` keeps every ring edge and member
+    0's first exit and drops a random share of the other positions,
+    members among them."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    weighted = st.tuples(st.integers(0, n - 1), st.integers(1, 9))
+    rows, positions = {}, {}
+    for x in range(n):
+        internal = [((x + 1) % n, draw(st.integers(1, 9)))]
+        internal += draw(st.lists(weighted, max_size=4))
+        exits = draw(st.lists(st.sampled_from([10, 11, 12]), min_size=int(x == 0), max_size=3))
+        out = [(z, 10.0 ** draw(st.floats(-15.0, -1.0))) for z in exits]
+        stay = 1.0 - math.fsum(p for _z, p in out)
+        weight = sum(w for _z, w in internal)
+        entries = [(z, stay * w / weight) for z, w in internal] + out
+        rows[x] = [z for z, _p in entries], [p for _z, p in entries], (0,) * len(entries)
+        first_exit = len(internal)
+        positions[x] = [
+            k for k in range(len(entries))
+            if k == 0 or (x == 0 and k == first_exit) or draw(st.booleans())
+        ]
+    return rows, list(range(n)), positions
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cycles())
+def test_absorbing_solve_matches_rational_solve_entrywise(cycle):
+    """Every entry of M within 1e-15 relative of the exact solution, with
+    full rows and with read positions."""
+    rows, members, positions = cycle
+    for read in (None, positions):
+        exits, mu = solve_absorbing(rows, members, read)
+        expected_exits, expected = rational_exits(rows, members, read)
+        assert exits == expected_exits
+        for got_row, exact_row in zip(mu, expected, strict=True):
+            for got, exact in zip(got_row, exact_row, strict=True):
+                assert abs(Fraction(got) - exact) <= exact / 10**15, (got, float(exact))
 
 
 # --------------------------------------------------------- structure
