@@ -1,12 +1,13 @@
 """Exact hitting probabilities by numerical linear solve.
 
-Enumerates the reachable merged state space and solves
+Enumerates the reachable states and solves
 
     pi(x) = sum over successors z of p(x, z) * pi(z),  pi(g) = 1, pi(t) = 0
 
-with Gauss-Seidel iteration; each sweep is one sparse lower-triangular
-solve, so large spaces stay fast, and brackets pi from below and above,
-so the solve proves where it stops.  Serves as the reference oracle that
+over the states alone, s first (g and t have no rows), with
+Gauss-Seidel iteration; each sweep is one sparse lower-triangular solve,
+so large spaces stay fast, and brackets pi from below and above, so the
+solve proves where it stops.  Serves as the reference oracle that
 the simulation estimators are validated against.  Unlike the estimators it
 needs the whole space, so it keeps none of it as rows: each row is read
 once into flat arrays, from which numpy assembles the two triangles the
@@ -30,7 +31,7 @@ from scipy.sparse import csc_matrix, csr_matrix, diags_array
 from scipy.sparse.linalg import spsolve_triangular
 
 from rarepath.errors import ConvergenceError, StateBudgetExceeded
-from rarepath.model import GOAL, TABOO, Chain, MarkovModel, coded_arrays
+from rarepath.model import GOAL_CODE, Chain, MarkovModel, coded_arrays
 from rarepath.preproc import PreprocessResult
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -47,22 +48,22 @@ def exact_hitting_probability(
 ) -> tuple[float, dict[Any, float]]:
     """Probability of reaching the goal before the taboo state.
 
-    Returns (pi(s), pi for every non-terminal state of the chain).  The
-    full chain of a model with codes is built in bulk (``coded_arrays``);
-    any other is enumerated through a ``Chain``: the model's own, or the
-    preprocessing result's to solve over the reduced chain instead
-    (indexing every state in that chain, but storing none of its rows);
-    cycle removal must leave hitting probabilities unchanged, which the
-    test suite checks against this oracle.
+    Returns (pi(s), pi for every state of the chain).  The full chain of
+    a model with codes is built in bulk (``coded_arrays``); any other is
+    enumerated through a ``Chain``: one of its own, dropped once its rows
+    are read, or the preprocessing result's to solve over the reduced
+    chain instead (indexing every state in that chain, but storing none
+    of its rows); cycle removal must leave hitting probabilities
+    unchanged, which the test suite checks against this oracle.
 
-    Matrix row i is chain index i: the indices are walked upward while
-    ``chain.take`` reads row i once, indexing the states it discovers
-    (breadth-first from s on the model's own chain), and the bulk path
-    gives the same indices.  Goal mass goes to
-    b, self-loops to the diagonal, and the other entries, in row order
-    with duplicates summed, straight to L (below the diagonal) or U (above
-    it); A = L + U is never built.  g, t and any state whose row only loops
-    on itself get identity rows with b = 0; g and t stay out of the map.
+    Matrix row i is state i, s being 0: the indices are walked upward
+    while ``chain.take`` reads row i once, indexing the states it
+    discovers (breadth-first from s on the model's own chain), and the
+    bulk path gives the same indices.  Goal mass goes to b, taboo mass
+    nowhere, self-loops to the diagonal, and the other entries, in row
+    order with duplicates summed, straight to L (below the diagonal) or U
+    (above it); A = L + U is never built.  A state whose row only loops
+    on itself gets an identity row with b = 0.
 
     The sweeps (``gauss_seidel_bracket``) solve two columns, x_lo from 0
     and x_hi from 1 on the states that reach g (``b > 0`` grown through
@@ -74,18 +75,15 @@ def exact_hitting_probability(
     accuracy.  After MAX_SWEEPS sweeps the solve gives up with
     ConvergenceError.
     """
+    codes = None
     if result is None and model.has_codes:
-        chain = None
         *rows, codes = coded_arrays(model, state_cap)
-        s, goal, taboo = 0, 1, 2  # as in a Chain
     else:
-        chain = result.chain if result is not None else Chain(model)
-        s, goal, taboo = chain.s_index, chain.goal_index, chain.taboo_index
-        rows = row_arrays(chain, state_cap)
+        *rows, states = row_arrays(result.chain if result is not None else Chain(model), state_cap)
     z, p, sizes = map(np.frombuffer, rows, (np.intc, float, np.intc))
     n = len(sizes)
     r = np.repeat(np.arange(n, dtype=np.intc), sizes)
-    hit = z == goal
+    hit = z == GOAL_CODE
     b = np.bincount(r[hit], p[hit], minlength=n)
     loop = z == r
     diag = np.ones(n)
@@ -96,7 +94,7 @@ def exact_hitting_probability(
         raise ConvergenceError("a self-loop rounds to probability 1 beside other edges")
     # L: the entries below the diagonal in row order, each row's diagonal
     # last; U: those above it.  Neither holds a goal, taboo or self-loop entry.
-    off = ~hit & (z != taboo)
+    off = z >= 0
     below, above = off & (z < r), off & (z > r)
     ends, starts = (
         np.cumsum(np.bincount(r[m], minlength=n), dtype=np.intc) for m in (below, above)
@@ -121,16 +119,9 @@ def exact_hitting_probability(
     del lower
     x_lo, _x_hi = gauss_seidel_bracket(unit, inv, upper, b, reach)
     del unit, upper, b
-    if chain is None:
-        states = [model.initial_state, GOAL, TABOO, *model.decode(codes[3:])]
-    else:
-        states = map(chain.indexer.state, range(n))
-    pi = {
-        state: value
-        for i, (state, value) in enumerate(zip(states, x_lo.tolist()))
-        if i != goal and i != taboo
-    }
-    return float(x_lo[s]), pi
+    if codes is not None:  # decoded only now: the solve holds no descriptors
+        states = [model.initial_state, *model.decode(codes[1:])]
+    return float(x_lo[0]), dict(zip(states, x_lo.tolist()))
 
 
 def gauss_seidel_bracket(
@@ -155,19 +146,18 @@ def gauss_seidel_bracket(
     raise ConvergenceError("hitting-probability solve did not converge")
 
 
-def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array]:
+def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array, list]:
     """The rows of a chain as flat (targets, probs, sizes), read one at a
     time in index order through ``chain.take``, which indexes the states
-    they discover."""
+    they discover, and the descriptor of every state, in index order."""
     targets, probs, sizes = array("i"), array("d"), array("i")
-    empty = (), (), ()
     i = 0
     while i < len(chain):
-        row_targets, row_probs, _orders = empty if chain.is_terminal(i) else chain.take(i)
-        if len(chain) - 2 > state_cap:  # g and t take two indices
+        row_targets, row_probs, _orders = chain.take(i)
+        if len(chain) > state_cap:
             raise StateBudgetExceeded(f"more than {state_cap} reachable states")
         targets.extend(row_targets)
         probs.extend(row_probs)
         sizes.append(len(row_targets))
         i += 1
-    return targets, probs, sizes
+    return targets, probs, sizes, [*map(chain.indexer.state, range(i))]

@@ -2,12 +2,14 @@
 
 A model describes a discrete-time Markov chain implicitly: an initial
 state, goal/taboo predicates, and a successor function.  Goal states are
-merged into a single absorbing node g, taboo states into a single node t;
-neither is ever expanded.  ``successors`` returns a state's row as three
-parallel sequences, targets, weights and rarity orders, position by
-position.  Weights may be CTMC rates (embedded on the fly) or DTMC
-probabilities; an order of None asks for automatic assignment.  A gambler's
-ruin with up-rate eps = 0.1 and down-rate 1:
+merged into a single absorbing node g, taboo states into a single node t.
+Neither is a state: g and t have no rows and no descriptors, only the
+negative ids ``GOAL_CODE`` and ``TABOO_CODE``, the same in a chain's rows
+as in ``coded_rows``, and every id from 0 up is a state.  ``successors``
+returns a state's row as three parallel sequences, targets, weights and
+rarity orders, position by position.  Weights may be CTMC rates (embedded
+on the fly) or DTMC probabilities; an order of None asks for automatic
+assignment.  A gambler's ruin with up-rate eps = 0.1 and down-rate 1:
 
     class Ruin(MarkovModel):
         initial_state = 1
@@ -40,7 +42,6 @@ code of ``MAX_CODE`` = 2**24 or more raises ``ModelError``.
 from __future__ import annotations
 
 import abc
-import enum
 import math
 from array import array
 from functools import reduce
@@ -56,19 +57,10 @@ from rarepath.orders import assign_order
 State = Hashable
 
 
-class Terminal(enum.Enum):
-    """Virtual merged absorbing nodes."""
-
-    GOAL = "goal"
-    TABOO = "taboo"
-
-
-GOAL = Terminal.GOAL
-TABOO = Terminal.TABOO
-
-#: the codes of goal and taboo targets in ``coded_rows``
-GOAL_CODE = -1
-TABOO_CODE = -2
+#: the ids of g and t, in ``coded_rows`` and in a chain's rows; g sorts
+#: before t, so an exit list sorted by id reads g, t, then the states
+GOAL_CODE = -2
+TABOO_CODE = -1
 
 
 class MarkovModel(abc.ABC):
@@ -200,6 +192,9 @@ class StateIndexer:
         self._index[state] = idx
 
     def state(self, idx: int) -> Any:
+        """The descriptor of index ``idx``; a negative id (g, t) has none."""
+        if idx < 0:
+            raise IndexError(f"id {idx} is no state's index")
         return self._states[idx]
 
 
@@ -207,7 +202,7 @@ class StateIndexer:
 Row = tuple[list[int], array, tuple[int, ...]]
 
 #: a target of a fetched row that has not been classified yet
-UNSEEN = -1
+UNSEEN = -3
 
 #: rows a chain keeps before it gives up looking shapes up, if no two of
 #: them share one (DDS FCFS repeats its first shape at row 23, the
@@ -234,11 +229,13 @@ class Chain:
     target of another row is re-read from ``model.successors``, which
     gives the same row each time, so indices do not depend on it.  A
     descriptor met as a target is classified when first needed: plain
-    ones get dense indices in first-discovery order, taboo ones become
-    indexer aliases of the merged TABOO node.  Goal targets map to the
-    merged GOAL node; their descriptors are not kept, because the goal
-    boundary can be as large as the state space and each goal state is
-    usually entered from a single state.
+    ones get dense indices in first-discovery order, from s at 0, and
+    taboo ones become indexer aliases of t.  Goal targets read g; their
+    descriptors are not kept, because the goal boundary can be as large
+    as the state space and each goal state is usually entered from a
+    single state.  g and t are the ids ``GOAL_CODE`` and ``TABOO_CODE``
+    (``goal_index``, ``taboo_index``): they have no rows, and
+    ``len(chain)`` counts the states alone.
 
     A row is one format everywhere (``Row``): target indices, probabilities
     and orders, position by position.  ``row`` and ``take`` classify every
@@ -250,18 +247,20 @@ class Chain:
     The initial state is indexed as a regular node even when its
     descriptor satisfies the goal or taboo predicate (regenerative models
     reuse the start state as the return state); only transition *targets*
-    are merged into the terminal nodes.  Indexing more non-terminal states
-    than a set ``state_budget`` raises ``StateBudgetExceeded``.
+    are merged into the terminal nodes.  Indexing more states than a set
+    ``state_budget`` raises ``StateBudgetExceeded``.
     """
+
+    goal_index = GOAL_CODE
+    taboo_index = TABOO_CODE
+    s_index = 0
 
     def __init__(self, model: MarkovModel, state_budget: int | None = None):
         self.model = model
         self.state_budget = state_budget
         self.indexer = StateIndexer()
         s = model.initial_state
-        self.s_index = self.indexer.index(s)
-        self.goal_index = self.indexer.index(GOAL)
-        self.taboo_index = self.indexer.index(TABOO)
+        self.indexer.index(s)
         #: the index that s stands for as a target: its own, or g or t
         self._s_target = (
             self.goal_index if model.is_goal(s)
@@ -278,7 +277,7 @@ class Chain:
         self.overrides: dict[int, Row] = {}
         self._rows: dict[int, Row] = {}
         #: (index, target descriptors) of the last row fetched
-        self._last: tuple[int, Sequence[State]] = (-1, ())
+        self._last: tuple[int, Sequence[State]] = (UNSEEN, ())
 
     def __len__(self) -> int:
         return len(self.indexer)
@@ -292,7 +291,7 @@ class Chain:
         return self._s_target == self.taboo_index
 
     def is_terminal(self, idx: int) -> bool:
-        return idx == self.goal_index or idx == self.taboo_index
+        return idx < 0
 
     def _known(self, states: Sequence[State]) -> list[int]:
         """Target indices of descriptors classified before, else UNSEEN."""
@@ -312,7 +311,7 @@ class Chain:
         if self.model.is_taboo(state):
             self.indexer.alias(state, self.taboo_index)
             return self.taboo_index
-        if self.state_budget is not None and len(self) - 2 >= self.state_budget:
+        if self.state_budget is not None and len(self) >= self.state_budget:
             raise StateBudgetExceeded(f"more than {self.state_budget} states discovered")
         return self.indexer.index(state)
 
@@ -332,8 +331,6 @@ class Chain:
         ``keep``, joins them.  With the table dropped, every row is
         embedded.
         """
-        if self.is_terminal(idx):
-            raise ModelError("terminal states have no successors")
         state = self.indexer.state(idx)
         row = states, weights, orders = self.model.successors(state)
         shapes, shape = self._shapes, None
@@ -453,12 +450,13 @@ def coded_arrays(
 ) -> tuple[array, array, array, np.ndarray]:
     """The whole chain of a model with codes as flat rows, built in bulk.
 
-    Returns (targets, probs, sizes, codes): row i is index i, its entries
-    run in position order, and ``codes`` holds the code of each index.
-    The rows grow in place, as typed arrays, block after block.
-    Indices are those a ``Chain`` gives when its rows are taken in index
-    order: s is 0, g 1 and t 2 (reading ``GOAL_CODE`` and ``TABOO_CODE``),
-    and every other state follows in first-discovery order.  The chain is
+    Returns (targets, probs, sizes, codes): row i is state i, its entries
+    run in position order, and ``codes`` holds one code per state.  The
+    rows grow in place, as typed arrays, block after block.  Indices are
+    those a ``Chain`` gives when its rows are taken in index order: s is
+    0 and every other state follows in first-discovery order; g and t
+    have no rows, and a target into them reads ``GOAL_CODE`` or
+    ``TABOO_CODE``, as in the hook and the chain.  The chain is
     walked breadth-first, a block of at most ``BLOCK`` states at a time in
     index order: a block's new target codes are indexed in order of first
     occurrence and join the queue.  As the hook marks goal and taboo
@@ -473,15 +471,15 @@ def coded_arrays(
     checks raises the ``ModelError`` that ``embedded_row`` raises for the
     first such row, and one with a negative target code other than
     ``GOAL_CODE`` and ``TABOO_CODE`` a ``ModelError`` naming its state;
-    one that takes the chain past ``state_cap`` non-terminal states raises
+    one that takes the chain past ``state_cap`` states raises
     ``StateBudgetExceeded``.
     """
     queue = np.array([model.encode(model.initial_state)], np.int64)
     table = _table_for(np.empty(0, np.intc), int(queue[0]))  # index per code, -1 unseen
     table[queue[0]] = 0
-    codes = [queue, np.array([GOAL_CODE, TABOO_CODE])]
+    codes = [queue]
     targets, probs, sizes = array("i"), array("d"), array("i")
-    n = 3
+    n = 1
     while len(queue):
         block, queue = queue[:BLOCK], queue[BLOCK:]
         m = len(block)
@@ -516,16 +514,14 @@ def coded_arrays(
         new = new[np.argsort(first)]
         table[new] = np.arange(n, n + len(new), dtype=np.intc)
         at[unseen] = table[fresh]
-        index = np.where(z == GOAL_CODE, 1, 2).astype(np.intc)
+        index = z.astype(np.intc)  # a terminal's code is its index
         index[plain] = at
         targets.frombytes(index.tobytes())
         probs.frombytes(w.tobytes())
         sizes.frombytes(size.astype(np.intc).tobytes())
-        if n == 3:
-            sizes.extend((0, 0))  # g and t
         codes.append(new)
         queue = np.concatenate([queue, new])
         n += len(new)
-        if n - 2 > state_cap:
+        if n > state_cap:
             raise StateBudgetExceeded(f"more than {state_cap} reachable states")
     return targets, probs, sizes, np.concatenate(codes)

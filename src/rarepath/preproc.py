@@ -322,12 +322,13 @@ class PreprocessResult:
     """Everything the sampler needs, plus a summary report.
 
     Indices refer to ``chain``, the reduced chain: it holds the rows
-    resolved so far, the replacement rows of cycle removal
-    (``chain.overrides``) and the indices of s, g and t; rows of all
-    other states come from the model unchanged.  Sampling and the oracle
-    keep growing the chain; ``states_discovered`` counts the non-terminal
-    states the forward phase indexed (``len(chain) - 2`` after it, as the
-    state budget counts them), which the backward phase does not add to.
+    resolved so far and the replacement rows of cycle removal
+    (``chain.overrides``); rows of all other states come from the model
+    unchanged.  s is index 0, and g and t are the chain's negative ids.
+    Sampling and the oracle keep growing the chain; ``states_discovered``
+    counts the states the forward phase indexed (``len(chain)`` after it,
+    as the state budget counts them), which the backward phase does not
+    add to.
     """
 
     chain: Chain
@@ -394,7 +395,7 @@ def preprocess(
     if chain.initial_is_goal:
         raise ModelError("initial state must not be a goal state")
     d_forward, lambda_set, hpc_count = forward_phase(chain)
-    states_discovered = len(chain) - 2  # g and t are no states of the model
+    states_discovered = len(chain)
     chain.state_budget = None
     return PreprocessResult(
         chain, d_forward, lambda_set, *backward_phase(chain, lambda_set),

@@ -22,9 +22,10 @@ reachable from them, so leaving Lambda is never starved of probability.
 ``ChangeOfMeasure`` owns both rules of a measure, each over one row and
 the path's one-bit context: q (``distribution``) and the context after
 a position (``next_context``).  ``Sampler`` walks one node per (state,
-context) pair, 0, 1 and 2 being s, g and t as in the chain; each node's
-step holds q, the next node and p/q at every position, so the walk tests
-no measure's kind and no context.
+context) pair, 0 being s, and ends in g or t, whose node ids are the
+chain's own negative ids; each node's step holds q, the next node and
+p/q at every position, so the walk tests no measure's kind and no
+context.
 
 Estimators
 ----------
@@ -50,7 +51,7 @@ from operator import add, itemgetter
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
-from rarepath.model import UNSEEN, Chain, MarkovModel, Row
+from rarepath.model import GOAL_CODE, UNSEEN, Chain, MarkovModel, Row
 from rarepath.orders import INFINITY
 from rarepath.preproc import PreprocessResult
 
@@ -138,9 +139,6 @@ class PathSample(tuple):
     )
 
 
-#: node ids of g and t, as in the chain (0 is s; UNSEEN: not resolved yet)
-GOAL_NODE, TABOO_NODE = 1, 2
-
 #: one node's compiled step: cumulative q, next node ids, p/q and orders
 Step = tuple[tuple[float, ...], list[int], tuple[float, ...], tuple[int, ...]]
 
@@ -188,8 +186,9 @@ class Sampler:
     a chain of their own.  The walk moves between nodes, one per (state,
     context) pair.  Where the context never changes (mc, bfb) a node is
     its state's chain index and its step's next nodes are the row's own
-    target list; otherwise nodes are numbered as pairs are met, after s, g
-    and t, and each step has a list of its own.  A step is compiled on a
+    target list; otherwise nodes are numbered as pairs are met, from s at
+    0, and each step has a list of its own.  Either way g and t are the
+    chain's negative ids and have no node of their own.  A step is compiled on a
     node's first visit and a next node resolved on its position's first
     draw, so a sampler grows with its chain and is not thread-safe.
     """
@@ -199,12 +198,11 @@ class Sampler:
         res = self.result = com.result
         is_zva = com.is_zva
         chain = self.chain = res.chain if is_zva else Chain(model)
-        assert (chain.s_index, chain.goal_index, chain.taboo_index) == (0, 1, 2)
         #: (state, context) by node id and node id by pair where the context
         #: can change (igbs, ZVA); None where the node id is the chain index
         pairs = self._pairs = None
         if com.kind == "igbs" or is_zva:
-            pairs = self._pairs = [(chain.s_index, is_zva), None, None]
+            pairs = self._pairs = [(chain.s_index, is_zva)]
             self._node_of = {pairs[0]: 0}
         #: compiled steps by node id; None (or an id past the end) marks a
         #: node not compiled yet
@@ -272,7 +270,7 @@ class Sampler:
         chain, pairs = self.chain, self._pairs
         state, context = pairs[node]
         nxt = chain.target(state, i)
-        if nxt != GOAL_NODE and nxt != TABOO_NODE:
+        if nxt >= 0:  # a state; g and t keep their ids as node ids
             pair = nxt, self.com.next_context(chain.fetch(state), context, i)
             nxt = self._node_of.setdefault(pair, len(pairs))
             if nxt == len(pairs):
@@ -296,11 +294,11 @@ class Sampler:
             likelihood *= ratios[i]
             order_sum += orders[i]
             nxt = nodes[i]
-            if nxt <= TABOO_NODE:  # unresolved, g, t or s again
+            if nxt <= 0:  # unresolved, g, t or s again
                 if nxt == UNSEEN:
                     nxt = resolve(node, i)
-                if nxt == GOAL_NODE or nxt == TABOO_NODE:
-                    hit, left = nxt == GOAL_NODE, is_zva and not pairs[node][1]
+                if nxt < 0:
+                    hit, left = nxt == GOAL_CODE, is_zva and not pairs[node][1]
                     dominant = hit and is_zva and not left and order_sum == d_sg
                     return PathSample((hit, likelihood, order_sum, steps, left, dominant))
             node = nxt

@@ -9,6 +9,7 @@ an order budget.
 
 from __future__ import annotations
 
+import enum
 import math
 from collections import deque
 from functools import lru_cache
@@ -17,9 +18,20 @@ import numpy as np
 import pytest
 
 from rarepath.exact import exact_hitting_probability
-from rarepath.model import GOAL, TABOO, MarkovModel, embedded_row
+from rarepath.model import MarkovModel, embedded_row
 from rarepath.preproc import PreprocessResult
 from rarepath.zoo import make_dds
+
+
+class Terminal(enum.Enum):
+    """Descriptors for the merged goal and taboo nodes, which the chain
+    names only by negative ids."""
+
+    GOAL = "goal"
+    TABOO = "taboo"
+
+
+GOAL, TABOO = Terminal.GOAL, Terminal.TABOO
 
 
 def merged_row(model: MarkovModel, state):

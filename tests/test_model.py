@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from rarepath.errors import ModelError
 from rarepath.model import (
-    GOAL,
+    GOAL_CODE,
     SHAPE_PROBE,
-    TABOO,
+    TABOO_CODE,
     UNSEEN,
     Chain,
     MarkovModel,
@@ -18,7 +18,7 @@ from rarepath.model import (
     embedded_row,
 )
 
-from conftest import merged_row
+from conftest import GOAL, TABOO, merged_row
 
 
 class TinyModel(MarkovModel):
@@ -388,6 +388,22 @@ def test_indexer_is_a_bijection():
     assert len(ix) == 2
     assert "a" in ix and "c" not in ix
     assert ix.lookup("c") is None
+
+
+def test_terminal_ids_read_no_state():
+    """g and t are the hook's negative ids, not states: every id from 0 up
+    is a state, and reading a terminal id raises instead of returning a
+    state from the end of the list."""
+    chain = Chain(TinyModel())
+    assert chain.row(chain.s_index)[0] == [1, GOAL_CODE]
+    assert chain.row(1)[0] == [TABOO_CODE]
+    assert len(chain) == 2 and chain.indexer.state(1) == "b"
+    for idx in (chain.goal_index, chain.taboo_index):
+        assert chain.is_terminal(idx)
+        with pytest.raises(IndexError, match="no state's index"):
+            chain.indexer.state(idx)
+        with pytest.raises(IndexError):
+            chain.fetch(idx)
 
 
 def test_indexer_assigns_in_discovery_order():
