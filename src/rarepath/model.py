@@ -46,8 +46,8 @@ import math
 from array import array
 from functools import reduce
 from itertools import repeat
-from operator import add
-from typing import Any, Hashable, Sequence
+from operator import add, index
+from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -127,7 +127,11 @@ def _embed(
     # would move the last bits of every probability
     total = reduce(add, weights, 0.0)
     auto = None in orders
-    base = min([r for r in orders if r is not None] if auto else orders, default=0)
+    try:  # orders are ints: operator.index takes numpy's and refuses floats
+        explicit = [index(r) for r in orders if r is not None]
+    except TypeError:
+        explicit = [-1]  # refused below, where the edge is named
+    base = min(explicit, default=0)
     # a NaN weight fails min() only in first place, but the sum anywhere
     if not (
         len(targets) == len(weights) == len(orders)
@@ -141,9 +145,12 @@ def _embed(
         for t, w, r in zip(*row):  # name the first bad edge
             if not 0.0 < w < math.inf or (not model.emits_rates and w > 1.0):
                 raise ModelError(f"bad weight {w} from {state!r} to {t!r}")
+            if r is not None and not hasattr(r, "__index__"):
+                raise ModelError(f"order {r!r} to {t!r} is not an int")
             if r is not None and r < 0:
                 raise ModelError(f"negative order {r} to {t!r}")
         raise ModelError(f"weights of {state!r} sum to {total}")
+    orders = orders if auto else explicit
     if model.emits_rates:
         probs = list(map(total.__rtruediv__, weights))
         if base and not auto:
@@ -396,28 +403,26 @@ class Chain:
     def folded_row(self, idx: int, inner: frozenset[int]) -> Row:
         """The row of ``idx`` with every target outside ``inner`` folded into g.
 
-        Only the target list is new: the probabilities and orders are the
-        fetched row's own, so a folded edge keeps its probability and
-        order.  Taboo targets stay apart from g.  A target not classified
-        yet stays so: a folded edge needs only the taboo predicate (and the
-        goal predicate for a taboo target), re-read unless the row was last.
-        The fetched row is kept for later use.
+        Only the target list is new, made in one pass: the probabilities
+        and orders are the fetched row's own, so a folded edge keeps its
+        probability and order.  Taboo targets stay apart from g.  A target
+        not classified yet stays so: a folded edge needs only the taboo
+        predicate (and the goal predicate for a taboo target), re-read
+        unless the row was last.  The fetched row is kept for later use.
         """
         held = idx in self._rows
         targets, probs, orders = self.fetch(idx)
-        goal, taboo = self.goal_index, self.taboo_index
+        states: Iterable[State] = repeat(None)  # read where a target is unseen
         if UNSEEN in targets:
             states = self._states(idx)
-            # a target of a row fetched earlier may be classified since
-            known = self._known(states) if held else targets
-            model = self.model
-            targets = [
-                z if z != UNSEEN else y if y != UNSEEN
-                else taboo if model.is_taboo(t) and not model.is_goal(t) else goal
-                for z, y, t in zip(targets, known, states)
-            ]
-        folded = [z if z in inner or z == taboo else goal for z in targets]
-        return folded, probs, orders
+            if held:  # a target of a row fetched earlier may be classified since
+                targets = self._known(states)
+        goal, taboo, model = self.goal_index, self.taboo_index, self.model
+        return [
+            (taboo if model.is_taboo(t) and not model.is_goal(t) else goal) if z == UNSEEN
+            else z if z in inner or z == taboo else goal
+            for z, t in zip(targets, states)
+        ], probs, orders
 
     def set_override(self, idx: int, row: Row) -> None:
         """Replace the row of ``idx`` (cycle removal); ``overrides`` keeps it."""

@@ -31,9 +31,7 @@ import heapq
 import time
 from array import array
 from dataclasses import dataclass
-from functools import reduce
 from math import fsum
-from operator import add
 from typing import Mapping
 
 from rarepath.errors import GoalUnreachableError, ModelError
@@ -242,79 +240,76 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     out of their set, and their v is M v(exits): M holds the
     probabilities of leaving along dominant edges (``solve_absorbing``;
     every other edge leads to a sink with v = 0), and every exit's v is
-    known.  States that cannot reach g come last, with v = 0.
+    known.  States that cannot reach g come last, with v = 0.  Per-state
+    data are lists indexed by chain id, and no container is made per edge.
     """
-    goal = chain.goal_index
-    taboo = chain.taboo_index
-    rows: dict[int, Row] = {}
-    gamma: set[int] = set()
-    for x in sorted(lambda_set):
-        if chain.is_terminal(x):
-            continue
-        rows[x] = row = chain.row(x)
-        for z in row[0]:
-            if z not in lambda_set and not chain.is_terminal(z):
-                gamma.add(z)
+    goal, taboo = chain.goal_index, chain.taboo_index
+    rows: dict[int, Row] = {x: chain.row(x) for x in sorted(lambda_set) if x >= 0}
+    gamma = set().union(*[row[0] for row in rows.values()]) - lambda_set - {goal, taboo}
     inner = lambda_set | gamma
-    for g_state in sorted(gamma):
-        rows[g_state] = chain.folded_row(g_state, inner)
-    nodes = set(inner)
-    nodes.add(goal)
-    preds: dict[int, list[tuple[int, Order]]] = {x: [] for x in nodes}
-    preds[taboo] = []
+    for y in sorted(gamma):
+        rows[y] = chain.folded_row(y, inner)
+
+    # distances to g: reverse Dijkstra over orders from the edges into g
+    size = len(chain) + 2  # g and t read the last two slots
+    db: list[Order] = [INFINITY] * size
+    db[goal] = 0
+    preds: list[list[int]] = [[] for _ in range(size)]
+    heap: list[int] = []
     for x, (targets, _probs, orders) in rows.items():
         for z, r in zip(targets, orders):
-            preds[z].append((x, r))
-
-    # distances to goal (reverse Dijkstra over orders)
-    db: dict[int, Order] = {x: INFINITY for x in nodes}
-    db[taboo] = INFINITY
-    db[goal] = 0
-    heap: list[tuple[Order, int]] = [(0, goal)]
-    done: set[int] = set()
+            if z >= 0:
+                into = preds[z]
+                into.append(x)
+                into.append(r)
+            elif z == goal and r < db[x]:
+                db[x] = r
+                heap.append(r * size + x)
+    heapq.heapify(heap)
     while heap:
-        dx, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        for z, r in preds[x]:
-            nd = r + dx
-            if nd < db[z]:
-                db[z] = nd
-                heapq.heappush(heap, (nd, z))
+        dx, x = divmod(heapq.heappop(heap), size)
+        if dx == db[x]:  # else a stale key
+            pairs = iter(preds[x])
+            for y, r in zip(pairs, pairs):
+                if r + dx < db[y]:
+                    db[y] = d = r + dx
+                    heapq.heappush(heap, d * size + y)
 
-    # each state's dominant edges, and per target the states waiting on it
+    # each state's dominant edges, and how many lead to states not done yet
     dominant: dict[int, list[int]] = {}
-    waiting: dict[int, list[int]] = {}
-    pending: dict[int, int] = {}  # dominant edges into states not done yet
+    pending = [0] * size
+    done: list[int] = []
     for x, (targets, _probs, orders) in rows.items():
-        dx = db[x]
-        if dx == INFINITY:
+        if (dx := db[x]) == INFINITY:
             continue
-        dominant[x] = edges = [
-            i for i, (z, r) in enumerate(zip(targets, orders)) if r + db[z] == dx
-        ]
-        later = [targets[i] for i in edges if targets[i] != goal]  # g is done first
-        pending[x] = len(later)
-        for z in later:
-            waiting.setdefault(z, []).append(x)
-    v: dict[int, float] = {goal: 1.0, taboo: 0.0}
-    done = [x for x, n in pending.items() if not n]
+        dominant[x] = edges = [i for i, z in enumerate(targets) if orders[i] + db[z] == dx]
+        pending[x] = len(edges) - [targets[i] for i in edges].count(goal)
+        if not pending[x]:
+            done.append(x)
+    v = [0.0] * size
+    v[goal] = 1.0
     for x in done:
         targets, probs, _orders = rows[x]
-        v[x] = reduce(add, [probs[i] * v[targets[i]] for i in dominant[x]], 0.0)
-        for y in waiting.get(x, ()):
-            pending[y] -= 1
-            if not pending[y]:
-                done.append(y)
-    rest = [x for x in dominant if x not in v]
+        acc = 0.0  # summed left to right
+        for i in dominant[x]:
+            acc += probs[i] * v[targets[i]]
+        v[x] = acc
+        dx, pairs = db[x], iter(preds[x])
+        for y, r in zip(pairs, pairs):
+            if r + dx == db[y]:
+                pending[y] -= 1
+                if not pending[y]:
+                    done.append(y)
+    rest = [x for x in dominant if pending[x]]
     if rest:
         exits, m = solve_absorbing(rows, rest, dominant)
-        v.update(zip(rest, [fsum(p * v[z] for p, z in zip(mu, exits)) for mu in m]))
-    unreachable = sorted(x for x in nodes if db[x] == INFINITY)
-    v.update(dict.fromkeys(unreachable, 0.0))
+        for x, mu in zip(rest, m):
+            v[x] = fsum(p * v[z] for p, z in zip(mu, exits))
+    unreachable = sorted(x for x in inner if db[x] == INFINITY)
     order = (goal, *done, *rest, *unreachable)
-    return frozenset(gamma), db, v, order, dominant
+    d_backward = {x: db[x] for x in (*{*inner, goal}, taboo)}
+    v_delta = {goal: 1.0, taboo: 0.0} | {x: v[x] for x in order}
+    return frozenset(gamma), d_backward, v_delta, order, dominant
 
 
 @dataclass

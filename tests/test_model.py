@@ -1,7 +1,9 @@
 """Model contract: CTMC embedding, transition resolution, state indexing."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +90,21 @@ def test_embed_rejects_nonpositive_rate():
 def test_embed_rejects_negative_order():
     with pytest.raises(ModelError):
         embed([("x", 1.0, -1)])
+
+
+@pytest.mark.parametrize("bad", [2.0, np.float64(1.0), "1"], ids=["float", "numpy-float", "str"])
+@pytest.mark.parametrize("auto", [False, True], ids=["explicit", "beside-none"])
+def test_embed_rejects_an_order_that_is_no_int(bad, auto):
+    """Orders are ints: one that is not names its edge, also in a row whose
+    orders are assigned anew because another order is None."""
+    with pytest.raises(ModelError, match=re.escape(f"order {bad!r} to 'y' is not an int")):
+        embed([("x", 1.0, None if auto else 0), ("y", 1.0, bad)])
+
+
+def test_embed_takes_numpy_int_orders_as_ints():
+    _targets, _probs, orders = embed([("x", 1.0, np.int64(2)), ("y", 1.0, np.int32(3))])
+    assert list(orders) == [0, 1]
+    assert all(type(r) is int for r in orders)
 
 
 def test_embed_rejects_empty():
@@ -244,6 +261,48 @@ def test_chain_rejects_a_row_that_changes_between_calls(read):
     chain.row(chain.target(a, 0))  # "b" is now the last row fetched
     with pytest.raises(ModelError, match="'a'"):
         read(chain, a)
+
+
+class Fan(TinyModel):
+    """s steps to a, b and d, and b to c and t.  The row of a holds one
+    target of each kind: the states b and c, t, a descriptor that is both
+    goal and taboo ("gt"), g, the state d and "e", which nothing indexes."""
+
+    initial_state = "s"
+    rows = {"s": ["a", "b", "d"], "a": ["b", "c", "t", "gt", "g", "d", "e"], "b": ["c", "t"]}
+
+    def is_goal(self, state):
+        return state in ("g", "gt")
+
+    def is_taboo(self, state):
+        return state in ("t", "gt")
+
+    def successors(self, state):
+        targets = self.rows[state]
+        return targets, [1.0] * len(targets), [0] * len(targets)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+def test_folded_row_reads_each_kind_of_target(held):
+    """With s, a, b and c inner: b and c keep their indices, t reads t,
+    the goal-and-taboo descriptor and g read g, and so do d, outside the
+    inner set, and e, never indexed.  A held row was fetched before c got
+    its index and keeps it all the same.  The fold classifies nothing and
+    shares the fetched row's probabilities and orders."""
+    chain = Chain(Fan())
+    s = chain.s_index
+    a, b, d = chain.row(s)[0]
+    if held:
+        chain.fetch(a)
+    c, t = chain.row(b)[0]
+    targets, probs, orders = chain.folded_row(a, frozenset((s, a, b, c)))
+    g = chain.goal_index
+    assert t == chain.taboo_index
+    assert targets == [b, c, t, g, g, g, g]
+    fetched = chain.fetch(a)
+    assert probs is fetched[1] and orders is fetched[2]
+    assert fetched[0][3:5] == [UNSEEN, UNSEEN] and fetched[0][6] == UNSEEN
+    assert len(chain) == 5 and "e" not in chain.indexer
 
 
 class Ladder(MarkovModel):
