@@ -20,12 +20,12 @@ resolved from their own rows, which are positive whenever the goal is
 reachable from them, so leaving Lambda is never starved of probability.
 
 ``ChangeOfMeasure`` owns both rules of a measure, each over one row and
-the path's one-bit context: q (``distribution``) and the context after
-a position (``next_context``).  ``Sampler`` walks one node per (state,
-context) pair, 0 being s, and ends in g or t, whose node ids are the
-chain's own negative ids; each node's step holds q, the next node and
-p/q at every position, so the walk tests no measure's kind and no
-context.
+the path's context: q (``distribution``) and the context after a position
+(``next_context``), which for ZVA also says whether every step so far took
+one of preprocessing's ``dominant_edges``.  ``Sampler`` walks one node per
+(state, context) pair, 0 being s, and ends in g or t, whose node ids are
+the chain's own negative ids; each node's step holds q, the next node and
+p/q at every position, so the walk tests no measure's kind and no context.
 
 Estimators
 ----------
@@ -68,14 +68,16 @@ IGBS_DELTA = 1.0 / 100.0
 #: a path's step cap, and the step numbers under it, built once
 MAX_STEPS = 10_000_000
 _STEPS = range(1, MAX_STEPS + 1)
+#: ZVA contexts: left Lambda; in it; in it on dominant edges only, as at s
+LEFT, INSIDE, DOMINANT = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class ChangeOfMeasure:
     """A simulation measure, possibly backed by preprocessing output.
 
-    A path's context is one bit: for igbs "the last step had order 0" (off
-    at s), for ZVA "still inside Lambda" (on at s); mc and bfb keep it off.
+    A path's context: for igbs, whether the last step had order 0 (off at
+    s); for ZVA, LEFT, or INSIDE or DOMINANT (s's) while in Lambda; else off.
     """
 
     kind: str
@@ -105,7 +107,7 @@ class ChangeOfMeasure:
             idx: self.epsilon**d for idx, d in res.d_backward.items() if d != INFINITY
         }
 
-    def distribution(self, row: Row, context: bool) -> Sequence[float]:
+    def distribution(self, row: Row, context: int) -> Sequence[float]:
         """q over one row in the path's ``context``: failures share IGBS_DELTA
         for igbs in context and FAILURE_SHARE for bfb and igbs otherwise; ZVA
         in context reads the row's targets, which must be classified.
@@ -120,27 +122,30 @@ class ChangeOfMeasure:
                 return q
         return probs
 
-    def next_context(self, row: Row, context: bool, i: int) -> bool:
-        """The context after position ``i`` of ``row``: for igbs whether the
-        step has order 0, for ZVA in context whether the target (which must
-        be classified) is in Lambda, so a path that left Lambda stays out;
-        otherwise off."""
+    def next_context(self, state: int, row: Row, context: int, i: int) -> int:
+        """The context after position ``i`` of ``state``'s ``row``: for igbs
+        whether the step has order 0; for ZVA in Lambda LEFT if the target
+        (which must be classified) is not, DOMINANT from DOMINANT along a
+        dominant edge, else INSIDE; otherwise off."""
         if self.kind == "igbs":
             return row[2][i] == 0
-        return context and self.is_zva and row[0][i] in self.result.lambda_indices
+        if not (context and self.is_zva and row[0][i] in self.result.lambda_indices):
+            return LEFT
+        on = context == DOMINANT and i in self.result.dominant_edges[state]
+        return DOMINANT if on else INSIDE
 
 
 class PathSample(tuple):
-    """One path: (hit_goal, likelihood, order_sum, steps, left_lambda, dominant)."""
+    """One path: (hit_goal, likelihood, steps, left_lambda, dominant)."""
 
     __slots__ = ()
-    hit_goal, likelihood, order_sum, steps, left_lambda, dominant = (
-        property(itemgetter(i)) for i in range(6)
+    hit_goal, likelihood, steps, left_lambda, dominant = (
+        property(itemgetter(i)) for i in range(5)
     )
 
 
-#: one node's compiled step: cumulative q, next node ids, p/q and orders
-Step = tuple[tuple[float, ...], list[int], tuple[float, ...], tuple[int, ...]]
+#: one node's compiled step: cumulative q, next node ids and p/q
+Step = tuple[tuple[float, ...], list[int], tuple[float, ...]]
 
 
 def _bfb_distribution(orders: Sequence[int], share: float) -> list[float]:
@@ -184,11 +189,12 @@ class Sampler:
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
     a chain of their own.  The walk moves between nodes, one per (state,
-    context) pair.  Where the context never changes (mc, bfb) a node is
-    its state's chain index and its step's next nodes are the row's own
-    target list; otherwise nodes are numbered as pairs are met, from s at
-    0, and each step has a list of its own.  Either way g and t are the
-    chain's negative ids and have no node of their own.  A step is compiled on a
+    context) pair, so a state of Lambda may have an INSIDE and a DOMINANT
+    node.  Where the context never changes (mc, bfb) a node is its state's
+    chain index and its step's next nodes are the row's own target list;
+    otherwise nodes are numbered as pairs are met, from s at 0, and each
+    step has a list of its own.  Either way g and t are the chain's
+    negative ids and have no node of their own.  A step is compiled on a
     node's first visit and a next node resolved on its position's first
     draw, so a sampler grows with its chain and is not thread-safe.
     """
@@ -202,7 +208,7 @@ class Sampler:
         #: can change (igbs, ZVA); None where the node id is the chain index
         pairs = self._pairs = None
         if com.kind == "igbs" or is_zva:
-            pairs = self._pairs = [(chain.s_index, is_zva)]
+            pairs = self._pairs = [(chain.s_index, DOMINANT if is_zva else False)]
             self._node_of = {pairs[0]: 0}
         #: compiled steps by node id; None (or an id past the end) marks a
         #: node not compiled yet
@@ -219,7 +225,7 @@ class Sampler:
         #: the node id is the chain index, Chain.target resolves a position
         self._consts = (
             self._steps, pairs, chain.target if pairs is None else self._resolve,
-            is_zva, res.d_sg if is_zva else None,
+            is_zva, res.dominant_edges if is_zva else None,
         )
 
     def _compile(self, node: int) -> Step:
@@ -256,7 +262,7 @@ class Sampler:
         if len(table) <= node:
             table.extend([None] * (node + 1 - len(table)))
         nodes = targets if pairs is None else [UNSEEN] * len(targets)
-        step = table[node] = (cum, nodes, ratios, orders)
+        step = table[node] = (cum, nodes, ratios)
         return step
 
     def _share(self, values: list[float]) -> tuple[float, ...]:
@@ -271,7 +277,7 @@ class Sampler:
         state, context = pairs[node]
         nxt = chain.target(state, i)
         if nxt >= 0:  # a state; g and t keep their ids as node ids
-            pair = nxt, self.com.next_context(chain.fetch(state), context, i)
+            pair = nxt, self.com.next_context(state, chain.fetch(state), context, i)
             nxt = self._node_of.setdefault(pair, len(pairs))
             if nxt == len(pairs):
                 pairs.append(pair)
@@ -280,27 +286,26 @@ class Sampler:
 
     def sample(self, rng: random.Random) -> PathSample:
         """One path from s into g or t; the per-path unit that ``perfbench``
-        wraps and times.  A ZVA path that ends in a node whose context is
-        off has left Lambda."""
-        table, pairs, resolve, is_zva, d_sg = self._consts
+        wraps and times.  A ZVA path ending from a LEFT node has left Lambda,
+        and one ending from DOMINANT along a dominant edge is dominant."""
+        table, pairs, resolve, is_zva, dominant_edges = self._consts
         draw, bisect = rng.random, bisect_right
-        likelihood, order_sum, node = 1.0, 0, 0
+        likelihood, node = 1.0, 0
         for steps in _STEPS:
             try:
-                cum, nodes, ratios, orders = table[node]
+                cum, nodes, ratios = table[node]
             except (IndexError, TypeError):  # past the end or None
-                cum, nodes, ratios, orders = self._compile(node)
+                cum, nodes, ratios = self._compile(node)
             i = bisect(cum, draw())
             likelihood *= ratios[i]
-            order_sum += orders[i]
             nxt = nodes[i]
             if nxt <= 0:  # unresolved, g, t or s again
                 if nxt == UNSEEN:
                     nxt = resolve(node, i)
-                if nxt < 0:
-                    hit, left = nxt == GOAL_CODE, is_zva and not pairs[node][1]
-                    dominant = hit and is_zva and not left and order_sum == d_sg
-                    return PathSample((hit, likelihood, order_sum, steps, left, dominant))
+                if nxt < 0:  # a dominant edge ends in g, never in t
+                    state, context = pairs[node] if is_zva else (node, INSIDE)
+                    dominant = context == DOMINANT and i in dominant_edges[state]
+                    return PathSample((nxt == GOAL_CODE, likelihood, steps, not context, dominant))
             node = nxt
         raise ConvergenceError("path exceeded the step cap")
 
@@ -365,7 +370,7 @@ def _run_stream(
     for _ in range(n):
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        hit, likelihood, _order_sum, _steps, _left, dominant = sample(rng)
+        hit, likelihood, _steps, _left, dominant = sample(rng)
         x = likelihood if hit else 0.0
         count += 1
         sum1 += x

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import dense_hitting_probability
 
-from rarepath import cli, exact
+from rarepath import cli, exact, sampling
 from rarepath.cli import main
 from rarepath.model import MarkovModel
 from rarepath.zoo import two_type_unbalanced
@@ -211,6 +211,31 @@ def test_identical_configuration_gives_identical_tables(capsys):
     for a, b in zip(rows_a, rows_b):
         a[runtime_col] = b[runtime_col] = "x"  # wall time may differ
         assert a == b
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_tables_do_not_depend_on_the_hash_seed(workers):
+    """Two processes with different string hashing print the same rows,
+    wall time and wnvr aside, on a model with cycle removal.  Its states
+    are tuples of ints, whose hashes do not depend on the hash seed, so
+    this guards what is keyed by strings on the way, such as measures."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    tables = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rarepath", "compare", "--model", "two-type-deferred",
+             "--epsilon", "0.1", *(f"--method={m}" for m in sampling.MEASURES),
+             "--variant", "plusplus", "--runs", "300", "--seed", "5",
+             "--workers", workers, "--format", "csv"],
+            env=env | {"PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        masked = [header.index("runtime_ms"), header.index("wnvr")]
+        tables.append([[v for j, v in enumerate(row) if j not in masked] for row in rows])
+    assert len(tables[0]) == len(sampling.MEASURES)
+    assert tables[0] == tables[1]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -190,9 +190,40 @@ def test_relevant_set_is_exactly_the_close_states(factory):
     assert got == expected
 
 
-@pytest.mark.parametrize("factory", ALL_MODELS)
+#: every zoo model the tests build, at each epsilon they use
+ZOO_MODELS = [
+    *ALL_MODELS,
+    pytest.param(lambda: make_birth_death_chain(3, 0.3), id="chain-3"),
+    *(
+        pytest.param(lambda k=k, eps=eps: two_type_basic(k, k, 1.0, eps),
+                     id=f"two-type-{k}-{eps}")
+        for k, eps in ((2, 0.2), (3, 0.1), (4, 0.01), (4, 1e-4), (6, 0.1), (20, 0.1))
+    ),
+    *(
+        pytest.param(lambda eps=eps: two_type_deferred(epsilon=eps), id=f"deferred-{eps}")
+        for eps in (0.1, 1e-7)
+    ),
+    pytest.param(lambda: two_type_deferred(3, 2, 1.0 / 5.0, 0.15), id="deferred-3-2"),
+    *(
+        pytest.param(lambda eps=eps: two_type_unbalanced(epsilon=eps), id=f"unbalanced-{eps}")
+        for eps in (0.1, 0.01, 0.001, 1e-5)
+    ),
+    *(
+        pytest.param(lambda strategy=strategy, eps=eps: make_dds(strategy, eps),
+                     id=f"dds-{strategy}-{eps}")
+        for strategy in ("dedicated", "disk_priority", "proc_priority", "fcfs")
+        for eps in (0.1, 0.01)
+    ),
+]
+
+
+@pytest.mark.parametrize("factory", ZOO_MODELS)
 def test_forward_backward_distance_consistency(factory):
-    """d(s, g) from the forward phase equals d(x,g)-at-s from backward."""
+    """d(s, g) from the forward phase equals d(x,g)-at-s from backward.
+    The sampler's dominance rule rests on it: along a path inside Lambda
+    the order sum minus d(s, g) is the sum of the slacks
+    order + d(z, g) - d(x, g) of its steps, each 0 on a dominant edge
+    and positive elsewhere."""
     result = preprocess(factory())
     assert result.d_backward[result.chain.s_index] == result.d_sg
 

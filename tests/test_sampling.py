@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rarepath import sampling
@@ -173,13 +173,52 @@ REPLAY_CASES = [
 ]
 
 
+def _replay(com, chain, rng_state):
+    """The path drawn from ``rng_state``, replayed on ``chain`` with q from
+    ``distribution`` and the context rules written out here: L = prod p/q,
+    the order sum, the steps, whether it left Lambda, the terminal it ends
+    in and the RNG state after it."""
+    rng = random.Random()
+    rng.setstate(rng_state)
+    state, context = chain.s_index, com.is_zva
+    lik, order_sum, left_lambda, steps = 1.0, 0, False, 0
+    while not chain.is_terminal(state):
+        row = chain.row(state)
+        targets, probs, orders = row
+        q = com.distribution(row, context)
+        cum = list(accumulate(q))
+        cum[-1] = 1.0
+        i = bisect_right(cum, rng.random())
+        lik *= probs[i] / q[i]
+        order_sum += orders[i]
+        steps += 1
+        state = targets[i]
+        if com.kind == "igbs":
+            context = orders[i] == 0
+        elif context and com.is_zva and state not in com.result.lambda_indices:
+            context, left_lambda = False, True
+    return lik, order_sum, steps, left_lambda, state, rng.getstate()
+
+
+def _order_sum_rule(com, chain, replayed):
+    """The dominance label by the order sum: a ZVA goal hit that never left
+    Lambda and whose orders sum to d(s, g)."""
+    _lik, order_sum, _steps, left_lambda, end, _rng = replayed
+    return (
+        com.is_zva and end == chain.goal_index and not left_lambda
+        and order_sum == com.result.d_sg
+    )
+
+
 @pytest.mark.parametrize("factory, kind, paths, leaves", REPLAY_CASES)
 def test_likelihood_recomputes_from_trajectory(factory, kind, paths, leaves):
     """Each path's trajectory, replayed from its draws with q from
     ``distribution`` and the context rules written out here, gives the
-    same L = prod p/q, order sum, length and exit from Lambda as the
-    compiled steps.  The replay reads a chain of its own, so the sampler
-    resolves every path's targets lazily, itself."""
+    same L = prod p/q, length and exit from Lambda as the compiled steps,
+    and the same dominance label as the order-sum rule: a ZVA goal hit
+    inside Lambda whose orders sum to d(s, g).  The replay reads a chain
+    of its own, so the sampler resolves every path's targets lazily,
+    itself."""
     model = factory()
     sampler = Sampler(model, com_for(kind, model))
     com = com_for(kind, model)
@@ -189,29 +228,13 @@ def test_likelihood_recomputes_from_trajectory(factory, kind, paths, leaves):
     for _ in range(paths):
         before = rng.getstate()
         s = sampler.sample(rng)
-        rng_replay = random.Random()
-        rng_replay.setstate(before)
-        state, context = chain.s_index, com.is_zva
-        lik, order_sum, left_lambda, steps = 1.0, 0, False, 0
-        while not chain.is_terminal(state):
-            row = chain.row(state)
-            targets, probs, orders = row
-            q = com.distribution(row, context)
-            cum = list(accumulate(q))
-            cum[-1] = 1.0
-            i = bisect_right(cum, rng_replay.random())
-            lik *= probs[i] / q[i]
-            order_sum += orders[i]
-            steps += 1
-            state = targets[i]
-            if kind == "igbs":
-                context = orders[i] == 0
-            elif context and com.is_zva and state not in com.result.lambda_indices:
-                context, left_lambda = False, True
-        assert rng_replay.getstate() == rng.getstate()
+        replayed = _replay(com, chain, before)
+        lik, _order_sum, steps, left_lambda, end, after = replayed
+        assert after == rng.getstate()
         assert s.likelihood == pytest.approx(lik, rel=1e-12)
-        assert (s.order_sum, s.steps, s.left_lambda) == (order_sum, steps, left_lambda)
-        assert s.hit_goal == (state == chain.goal_index)
+        assert (s.steps, s.left_lambda) == (steps, left_lambda)
+        assert s.hit_goal == (end == chain.goal_index)
+        assert s.dominant == _order_sum_rule(com, chain, replayed)
         left += left_lambda
     assert (left > 0) == leaves
 
@@ -221,16 +244,78 @@ def test_sample_path_terminates_and_labels_dominance():
     com = com_for("zva-delta", model)
     rng = random.Random(1)
     sampler = Sampler(model, com)
+    chain = com.result.chain
     hits = 0
     for _ in range(500):
+        before = rng.getstate()
         s = sampler.sample(rng)
         if s.hit_goal:
             hits += 1
             # the chain's only goal paths inside Lambda are dominant
-            assert s.dominant or s.left_lambda or s.order_sum > com.result.d_sg
+            order_sum = _replay(com, chain, before)[1]
+            assert s.dominant or s.left_lambda or order_sum > com.result.d_sg
         else:
             assert not s.dominant
     assert hits > 400  # ZVA drives nearly every path to the goal
+
+
+class _Rates(MarkovModel):
+    """A CTMC given as ``rows``: state -> [(target, rate, order), ...],
+    starting in 0; "g" is the goal and "t" the taboo state."""
+
+    initial_state = 0
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def is_goal(self, state):
+        return state == "g"
+
+    def is_taboo(self, state):
+        return state == "t"
+
+    def successors(self, state):
+        return tuple(zip(*self.rows[state]))
+
+
+@st.composite
+def cycle_chains(draw):
+    """Rows over states 0..n-1 with rates c * 0.1**r: an order-0 ring over
+    0..k-1, which cycle removal replaces by override rows, up to four edges
+    of order 0 to 3 to any state, g or t, and an edge of order 1 to 4 to g,
+    so g is reachable from every state."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, n))
+    anywhere = st.sampled_from([*range(n), "g", "t"])
+    rows = {}
+    for x in range(n):
+        edges = [((x + 1) % k, draw(st.integers(1, 9)), 0)] if x < k else []
+        edges += draw(st.lists(
+            st.tuples(anywhere, st.integers(1, 9), st.integers(0, 3)), max_size=4
+        ))
+        edges.append(("g", draw(st.integers(1, 9)), draw(st.integers(1, 4))))
+        rows[x] = [(z, c * 0.1**r, r) for z, c, r in edges]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_chains(), st.sampled_from(sampling.ZVA_MEASURES))
+def test_context_dominance_matches_the_order_sum_rule(rows, kind):
+    """The sampler's dominance label, kept in its node contexts along
+    preprocessing's dominant edges, equals the order-sum rule on every
+    path, on chains whose sampler walks cycle-removal override rows."""
+    model = _Rates(rows)
+    com = com_for(kind, model)
+    assert com.result.chain.overrides
+    assert com.result.d_backward[com.result.chain.s_index] == com.result.d_sg
+    sampler = Sampler(model, com)
+    replay = com_for(kind, model)
+    rng = random.Random(5)
+    for _ in range(60):
+        before = rng.getstate()
+        s = sampler.sample(rng)
+        replayed = _replay(replay, replay.result.chain, before)
+        assert s.dominant == _order_sum_rule(replay, replay.result.chain, replayed)
 
 
 def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
@@ -546,28 +631,28 @@ def test_fcfs_estimates_are_pinned(kind):
 
 
 #: (model, measure, paths) -> float.hex of the sums of X and X^2, X = L * 1[hit],
-#: then hits, paths that left Lambda, dominant paths, steps and the sum of
-#: the order sums, over paths drawn one by one from ``Sampler.sample`` with
-#: random.Random(0).  fcfs steps into frontier rows and into targets that no
-#: phase classified, and hits g after leaving Lambda; on redundancy 71 of
-#: 300 paths leave Lambda; on Revisit paths re-enter s as an ordinary state
+#: then hits, paths that left Lambda, dominant paths and steps, over paths
+#: drawn one by one from ``Sampler.sample`` with random.Random(0).  fcfs
+#: steps into frontier rows and into targets that no phase classified, and
+#: hits g after leaving Lambda; on redundancy 71 of 300 paths leave Lambda;
+#: on Revisit paths re-enter s as an ordinary state
 PINNED_PATHS = {
     ("fcfs", "bfb", 2000): (
-        "0x1.9abbd26ae633cp-3", "0x1.e2b295071c4e2p-10", 401, 0, 0, 12019, 6395),
+        "0x1.9abbd26ae633cp-3", "0x1.e2b295071c4e2p-10", 401, 0, 0, 12019),
     ("fcfs", "zva-delta", 2000): (
-        "0x1.07e99871a05d2p-2", "0x1.3d6a8f80c036cp-14", 1805, 198, 1657, 7001, 4420),
+        "0x1.07e99871a05d2p-2", "0x1.3d6a8f80c036cp-14", 1805, 198, 1657, 7001),
     ("redundancy", "zva-delta", 300): (
-        "0x1.07e02a521f278p-55", "0x1.c611ef1657a60p-118", 229, 71, 22, 9525, 6760),
+        "0x1.07e02a521f278p-55", "0x1.c611ef1657a60p-118", 229, 71, 22, 9525),
     ("revisit", "mc", 2000): (
-        "0x1.7c00000000000p+7", "0x1.7c00000000000p+7", 190, 0, 0, 3563, 638),
+        "0x1.7c00000000000p+7", "0x1.7c00000000000p+7", 190, 0, 0, 3563),
     ("revisit", "bfb", 2000): (
-        "0x1.61a6083ce5652p+7", "0x1.7efedb7488704p+7", 336, 0, 0, 3451, 980),
+        "0x1.61a6083ce5652p+7", "0x1.7efedb7488704p+7", 336, 0, 0, 3451),
     ("revisit", "igbs", 2000): (
-        "0x1.8c00000000000p+7", "0x1.6260000000000p+13", 5, 0, 0, 3005, 16),
+        "0x1.8c00000000000p+7", "0x1.6260000000000p+13", 5, 0, 0, 3005),
     ("revisit", "zva-dbar", 2000): (
-        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468, 4247),
+        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468),
     ("revisit", "zva-delta", 2000): (
-        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468, 4247),
+        "0x1.999b96aaef0fdp+7", "0x1.7dc8e71ed08bep+4", 1949, 78, 1796, 5468),
 }
 
 PIN_MODELS = {
@@ -583,14 +668,14 @@ def test_sampled_paths_are_pinned(name, kind, paths):
     sampler = Sampler(model, com_for(kind, model))
     rng = random.Random(0)
     sum1 = sum2 = 0.0
-    counts = [0] * 5
+    counts = [0] * 4
     for _ in range(paths):
         s = sampler.sample(rng)
         x = s.likelihood if s.hit_goal else 0.0
         sum1 += x
         sum2 += x * x
         for j, value in enumerate(
-            (s.hit_goal, s.left_lambda, s.dominant, s.steps, s.order_sum)
+            (s.hit_goal, s.left_lambda, s.dominant, s.steps)
         ):
             counts[j] += value
     assert (sum1.hex(), sum2.hex(), *counts) == PINNED_PATHS[name, kind, paths]
