@@ -111,8 +111,11 @@ def _epsilons(args: argparse.Namespace) -> list[float]:
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout if it is unset."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -167,10 +170,8 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
     for m in methods:
         if m not in MEASURES:
             raise ConfigError(f"unknown method {m!r}")
-    if with_mc_baseline and "mc" in methods:
-        methods = ["mc"] + [m for m in methods if m != "mc"]
-    elif with_mc_baseline:
-        methods = ["mc", *methods]
+    if with_mc_baseline:
+        methods = ["mc", *(m for m in methods if m != "mc")]
     variant = args.variant or "plain"
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")

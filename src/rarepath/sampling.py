@@ -22,10 +22,10 @@ reachable from them, so leaving Lambda is never starved of probability.
 ``ChangeOfMeasure`` owns both rules of a measure, each over one row and
 the path's context: q (``distribution``) and the context after a position
 (``next_context``), which for ZVA also says whether every step so far took
-one of preprocessing's ``dominant_edges``.  ``Sampler`` walks one node per
-(state, context) pair, 0 being s, and ends in g or t, whose node ids are
-the chain's own negative ids; each node's step holds q, the next node and
-p/q at every position, so the walk tests no measure's kind and no context.
+one of preprocessing's ``dominant_edges``.  ``Sampler`` walks nodes
+``state * k + context`` (k contexts per state) into g or t, whose node ids
+are the chain's own negative ids; each node's step holds q, the next node
+and p/q at every position, so the walk tests no measure's kind or context.
 
 Estimators
 ----------
@@ -40,6 +40,7 @@ Estimators
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from bisect import bisect_right
@@ -188,44 +189,40 @@ class Sampler:
 
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
-    a chain of their own.  The walk moves between nodes, one per (state,
-    context) pair, so a state of Lambda may have an INSIDE and a DOMINANT
-    node.  Where the context never changes (mc, bfb) a node is its state's
-    chain index and its step's next nodes are the row's own target list;
-    otherwise nodes are numbered as pairs are met, from s at 0, and each
-    step has a list of its own.  Either way g and t are the chain's
-    negative ids and have no node of their own.  A step is compiled on a
-    node's first visit and a next node resolved on its position's first
-    draw, so a sampler grows with its chain and is not thread-safe.
+    a chain of their own.  A node is ``state * k + context``, k being the
+    measure's number of contexts (3 for ZVA, 2 for igbs), so a state of
+    Lambda may have an INSIDE and a DOMINANT node; for k = 1 (mc, bfb) a
+    node is its state's chain index and its step's next nodes are the
+    row's own target list.  g and t keep the chain's negative ids.  The
+    step list is indexed by node id: k slots of 8 bytes per state of the
+    chain's index range.  A step is compiled on a node's first visit and a
+    next node resolved on its position's first draw, so a sampler grows
+    with its chain and is not thread-safe.
     """
 
     def __init__(self, model: MarkovModel, com: ChangeOfMeasure):
         self.com = com
-        res = self.result = com.result
         is_zva = com.is_zva
-        chain = self.chain = res.chain if is_zva else Chain(model)
-        #: (state, context) by node id and node id by pair where the context
-        #: can change (igbs, ZVA); None where the node id is the chain index
-        pairs = self._pairs = None
-        if com.kind == "igbs" or is_zva:
-            pairs = self._pairs = [(chain.s_index, DOMINANT if is_zva else False)]
-            self._node_of = {pairs[0]: 0}
+        chain = self.chain = com.result.chain if is_zva else Chain(model)
+        #: contexts per state: a node is state * k + context
+        k = self._k = 3 if is_zva else 2 if com.kind == "igbs" else 1
         #: compiled steps by node id; None (or an id past the end) marks a
         #: node not compiled yet
         self._steps: list[Step | None] = []
         #: equal floats and equal q and p/q tuples, shared by the steps
         self._shared: dict = {}
         #: bfb/igbs: cumulative q per (orders, context), all the rule reads
-        self._cums: dict[tuple[tuple[int, ...], bool], tuple[float, ...]] = {}
+        self._cums: dict[tuple[tuple[int, ...], int], tuple[float, ...]] = {}
         #: p/q of the last cumulative q compiled with each probability array
         #: (shared by the chain's rows of one shape), by the array's id:
         #: (p/q, cumulative q, probabilities), which hold the ids
         self._ratios: dict[int, tuple] = {}
-        #: what every path reads, unpacked by ``sample`` in one load; where
-        #: the node id is the chain index, Chain.target resolves a position
+        #: what every path reads, unpacked by ``sample`` in one load; Chain.target
+        #: resolves where k = 1, and only ZVA starts at DOMINANT and has LEFT
         self._consts = (
-            self._steps, pairs, chain.target if pairs is None else self._resolve,
-            is_zva, res.dominant_edges if is_zva else None,
+            self._steps, chain.target if k == 1 else self._resolve, k,
+            chain.s_index * k + (DOMINANT if is_zva else 0), LEFT if is_zva else None,
+            com.result.dominant_edges if is_zva else None,
         )
 
     def _compile(self, node: int) -> Step:
@@ -238,8 +235,9 @@ class Sampler:
         array and cumulative q of the last step compiled from that array
         takes that step's p/q.
         """
-        com, pairs = self.com, self._pairs
-        state, context = (node, False) if pairs is None else pairs[node]
+        com, k = self.com, self._k
+        # for k = 1 the node itself is the chain's row key, not a copy of it
+        state, context = divmod(node, k) if k > 1 else (node, 0)
         row = self.chain.fetch(state)
         targets, probs, orders = row
         key = (orders, context) if com.kind in ("bfb", "igbs") else None
@@ -261,7 +259,7 @@ class Sampler:
         table = self._steps
         if len(table) <= node:
             table.extend([None] * (node + 1 - len(table)))
-        nodes = targets if pairs is None else [UNSEEN] * len(targets)
+        nodes = targets if k == 1 else [UNSEEN] * len(targets)
         step = table[node] = (cum, nodes, ratios)
         return step
 
@@ -273,14 +271,11 @@ class Sampler:
 
     def _resolve(self, node: int, i: int) -> int:
         """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept there."""
-        chain, pairs = self.chain, self._pairs
-        state, context = pairs[node]
+        chain, k = self.chain, self._k
+        state, context = divmod(node, k)
         nxt = chain.target(state, i)
         if nxt >= 0:  # a state; g and t keep their ids as node ids
-            pair = nxt, self.com.next_context(state, chain.fetch(state), context, i)
-            nxt = self._node_of.setdefault(pair, len(pairs))
-            if nxt == len(pairs):
-                pairs.append(pair)
+            nxt = nxt * k + self.com.next_context(state, chain.fetch(state), context, i)
         self._steps[node][1][i] = nxt
         return nxt
 
@@ -288,9 +283,9 @@ class Sampler:
         """One path from s into g or t; the per-path unit that ``perfbench``
         wraps and times.  A ZVA path ending from a LEFT node has left Lambda,
         and one ending from DOMINANT along a dominant edge is dominant."""
-        table, pairs, resolve, is_zva, dominant_edges = self._consts
+        table, resolve, k, node, left, dominant_edges = self._consts
         draw, bisect = rng.random, bisect_right
-        likelihood, node = 1.0, 0
+        likelihood = 1.0
         for steps in _STEPS:
             try:
                 cum, nodes, ratios = table[node]
@@ -299,13 +294,13 @@ class Sampler:
             i = bisect(cum, draw())
             likelihood *= ratios[i]
             nxt = nodes[i]
-            if nxt <= 0:  # unresolved, g, t or s again
+            if nxt < 0:  # unresolved, g or t
                 if nxt == UNSEEN:
                     nxt = resolve(node, i)
                 if nxt < 0:  # a dominant edge ends in g, never in t
-                    state, context = pairs[node] if is_zva else (node, INSIDE)
-                    dominant = context == DOMINANT and i in dominant_edges[state]
-                    return PathSample((nxt == GOAL_CODE, likelihood, steps, not context, dominant))
+                    context = node % k  # the state only where it is needed
+                    dominant = context == DOMINANT and i in dominant_edges[node // k]
+                    return PathSample((nxt == GOAL_CODE, likelihood, steps, context == left, dominant))
             node = nxt
         raise ConvergenceError("path exceeded the step cap")
 
@@ -398,9 +393,9 @@ def run_estimator(
     budgeted mode one stream (``workers`` = 1) issues replications until
     the deadline passes, so run counts (and therefore results) are not
     reproducible.  Fixed ``n_runs`` are split evenly over ``workers``
-    streams, each in its own process when ``workers`` > 1, and the
-    streams' moments are summed column by column in stream order; fixed
-    (seed, workers) is therefore fully deterministic.
+    streams, run by at most one process per usable CPU if ``workers`` > 1,
+    and the streams' moments are summed column by column in stream order;
+    fixed (seed, workers) is therefore fully deterministic.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown estimator variant {variant!r}")
@@ -420,7 +415,9 @@ def run_estimator(
         streams = [_run_stream(model, com, 2**62, seed, 0, t0 + time_budget_ms / 1e3)]
     elif workers > 1:
         counts = [n_runs // workers + (i < n_runs % workers) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
             streams = list(pool.map(
                 partial(_run_stream, model, com), counts, repeat(seed), range(workers)
             ))

@@ -250,6 +250,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("model,method,")
 
 
+def test_out_flag_to_an_unwritable_path_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--model", "chain", "--epsilon", "0.1",
+        "--runs", "100", "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write output file" in err and str(target) in err
+
+
 # --------------------------------------------------------------- config
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
