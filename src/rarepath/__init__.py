@@ -12,7 +12,7 @@ from rarepath.errors import (
     ModelError,
     StateBudgetExceeded,
 )
-from rarepath.model import MarkovModel, StateIndexer
+from rarepath.model import MarkovModel
 from rarepath.orders import INFINITY, assign_order
 from rarepath.preproc import PreprocessResult, preprocess
 from rarepath.sampling import (
@@ -35,7 +35,6 @@ __all__ = [
     "ModelError",
     "PreprocessResult",
     "StateBudgetExceeded",
-    "StateIndexer",
     "assign_order",
     "compute_q_delta",
     "exact_hitting_probability",

@@ -108,11 +108,11 @@ def _epsilons(args: argparse.Namespace) -> list[float]:
     return [parse_number("--epsilon", e, float) for e in args.epsilon]
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None, mode: str = "w") -> None:
     """Write ``text`` to the file ``out``, or to stdout if it is unset."""
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write output file: {exc}") from exc
@@ -316,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _merge_config(args)
         if not args.model:
             raise ConfigError("--model is required")
+        if args.out:  # fail before the work, not after it; appending truncates nothing
+            _write("", args.out, "a")
         return args.func(args)
     except (ConfigError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,7 +149,8 @@ def gauss_seidel_bracket(
 def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array, list]:
     """The rows of a chain as flat (targets, probs, sizes), read one at a
     time in index order through ``chain.take``, which indexes the states
-    they discover, and the descriptor of every state, in index order."""
+    they discover, and a copy of the chain's ``descriptors``, one per state
+    in index order."""
     targets, probs, sizes = array("i"), array("d"), array("i")
     i = 0
     while i < len(chain):
@@ -160,4 +161,4 @@ def row_arrays(chain: Chain, state_cap: int) -> tuple[array, array, array, list]
         probs.extend(row_probs)
         sizes.append(len(row_targets))
         i += 1
-    return targets, probs, sizes, [*map(chain.indexer.state, range(i))]
+    return targets, probs, sizes, chain.descriptors[:i]

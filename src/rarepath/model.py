@@ -1,15 +1,17 @@
-"""Markov model contract, CTMC embedding, and state indexing.
+"""Markov model contract, CTMC embedding, and the indexed chain.
 
 A model describes a discrete-time Markov chain implicitly: an initial
 state, goal/taboo predicates, and a successor function.  Goal states are
 merged into a single absorbing node g, taboo states into a single node t.
 Neither is a state: g and t have no rows and no descriptors, only the
 negative ids ``GOAL_CODE`` and ``TABOO_CODE``, the same in a chain's rows
-as in ``coded_rows``, and every id from 0 up is a state.  ``successors``
-returns a state's row as three parallel sequences, targets, weights and
-rarity orders, position by position.  Weights may be CTMC rates (embedded
-on the fly) or DTMC probabilities; an order of None asks for automatic
-assignment.  A gambler's ruin with up-rate eps = 0.1 and down-rate 1:
+as in ``coded_rows``, and every id from 0 up is a state.  Only the states
+a ``Chain`` discovers get an id, and the chain keeps the map between ids
+and descriptors itself.  ``successors`` returns a state's row as three
+parallel sequences, targets, weights and rarity orders, position by
+position.  Weights may be CTMC rates (embedded on the fly) or DTMC
+probabilities; an order of None asks for automatic assignment.  A
+gambler's ruin with up-rate eps = 0.1 and down-rate 1:
 
     class Ruin(MarkovModel):
         initial_state = 1
@@ -47,7 +49,7 @@ from array import array
 from functools import reduce
 from itertools import repeat
 from operator import add, index
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -166,45 +168,6 @@ def _embed(
     return targets, probs, orders
 
 
-class StateIndexer:
-    """Bijection between discovered state descriptors and dense ints.
-
-    Indices are assigned in first-discovery order, which also serves as the
-    deterministic tie-breaking order of the preprocessing phases.
-    """
-
-    def __init__(self) -> None:
-        self._index: dict[Any, int] = {}
-        self._states: list[Any] = []
-        #: index of a state or None (or a given default), never assigning
-        self.lookup = self._index.get
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __contains__(self, state: Any) -> bool:
-        return state in self._index
-
-    def index(self, state: Any) -> int:
-        """Index of ``state``, assigning a fresh one if unseen."""
-        idx = self._index.get(state)
-        if idx is None:
-            idx = len(self._states)
-            self._index[state] = idx
-            self._states.append(state)
-        return idx
-
-    def alias(self, state: Any, idx: int) -> None:
-        """Map ``state`` to the existing index ``idx`` (a merged node)."""
-        self._index[state] = idx
-
-    def state(self, idx: int) -> Any:
-        """The descriptor of index ``idx``; a negative id (g, t) has none."""
-        if idx < 0:
-            raise IndexError(f"id {idx} is no state's index")
-        return self._states[idx]
-
-
 #: a row: target indices, probabilities and orders, position by position
 Row = tuple[list[int], array, tuple[int, ...]]
 
@@ -237,12 +200,18 @@ class Chain:
     gives the same row each time, so indices do not depend on it.  A
     descriptor met as a target is classified when first needed: plain
     ones get dense indices in first-discovery order, from s at 0, and
-    taboo ones become indexer aliases of t.  Goal targets read g; their
-    descriptors are not kept, because the goal boundary can be as large
-    as the state space and each goal state is usually entered from a
-    single state.  g and t are the ids ``GOAL_CODE`` and ``TABOO_CODE``
-    (``goal_index``, ``taboo_index``): they have no rows, and
-    ``len(chain)`` counts the states alone.
+    taboo ones map to t.  Goal targets read g; their descriptors are not
+    kept, because the goal boundary can be as large as the state space
+    and each goal state is usually entered from a single state.  g and t
+    are the ids ``GOAL_CODE`` and ``TABOO_CODE`` (``goal_index``,
+    ``taboo_index``): they have no rows, and ``len(chain)`` counts the
+    states alone.
+
+    The chain is its own index: ``descriptors`` holds the descriptor of
+    every state in index order, ``lookup`` gives a descriptor's index (or
+    None, never assigning one) and ``state`` a state's descriptor.  The
+    discovery order also breaks the ties of the preprocessing phases, so
+    they are deterministic.
 
     A row is one format everywhere (``Row``): target indices, probabilities
     and orders, position by position.  ``row`` and ``take`` classify every
@@ -254,7 +223,8 @@ class Chain:
     The initial state is indexed as a regular node even when its
     descriptor satisfies the goal or taboo predicate (regenerative models
     reuse the start state as the return state); only transition *targets*
-    are merged into the terminal nodes.  Indexing more states than a set
+    are merged into the terminal nodes, and ``s_target`` is the id s
+    stands for as a target (s, g or t).  Indexing more states than a set
     ``state_budget`` raises ``StateBudgetExceeded``.
     """
 
@@ -265,11 +235,15 @@ class Chain:
     def __init__(self, model: MarkovModel, state_budget: int | None = None):
         self.model = model
         self.state_budget = state_budget
-        self.indexer = StateIndexer()
         s = model.initial_state
-        self.indexer.index(s)
+        #: the descriptor of every state, in index order, s at 0
+        self.descriptors: list[State] = [s]
+        #: descriptor -> index of every descriptor classified; taboo ones read t
+        self._index: dict[State, int] = {s: self.s_index}
+        #: index of a descriptor, or None (or a given default), never assigning
+        self.lookup = self._index.get
         #: the index that s stands for as a target: its own, or g or t
-        self._s_target = (
+        self.s_target = (
             self.goal_index if model.is_goal(s)
             else self.taboo_index if model.is_taboo(s) else self.s_index
         )
@@ -287,40 +261,38 @@ class Chain:
         self._last: tuple[int, Sequence[State]] = (UNSEEN, ())
 
     def __len__(self) -> int:
-        return len(self.indexer)
+        return len(self.descriptors)
 
-    @property
-    def initial_is_goal(self) -> bool:
-        return self._s_target == self.goal_index
-
-    @property
-    def initial_is_taboo(self) -> bool:
-        return self._s_target == self.taboo_index
-
-    def is_terminal(self, idx: int) -> bool:
-        return idx < 0
+    def state(self, idx: int) -> State:
+        """The descriptor of index ``idx``; a negative id (g, t) has none."""
+        if idx < 0:
+            raise IndexError(f"id {idx} is no state's index")
+        return self.descriptors[idx]
 
     def _known(self, states: Sequence[State]) -> list[int]:
         """Target indices of descriptors classified before, else UNSEEN."""
-        targets = list(map(self.indexer.lookup, states, repeat(UNSEEN)))
-        s, s_target = self.s_index, self._s_target
+        targets = list(map(self.lookup, states, repeat(UNSEEN)))
+        s, s_target = self.s_index, self.s_target
         if s_target != s and s in targets:
             targets = [s_target if z == s else z for z in targets]
         return targets
 
     def _classify(self, state: State) -> int:
         """Target index of a descriptor, classifying it if it is new."""
-        z = self.indexer.lookup(state)
+        z = self.lookup(state)
         if z is not None:
-            return self._s_target if z == self.s_index else z
+            return self.s_target if z == self.s_index else z
         if self.model.is_goal(state):
             return self.goal_index
         if self.model.is_taboo(state):
-            self.indexer.alias(state, self.taboo_index)
+            self._index[state] = self.taboo_index
             return self.taboo_index
-        if self.state_budget is not None and len(self) >= self.state_budget:
+        z = len(self.descriptors)
+        if self.state_budget is not None and z >= self.state_budget:
             raise StateBudgetExceeded(f"more than {self.state_budget} states discovered")
-        return self.indexer.index(state)
+        self._index[state] = z
+        self.descriptors.append(state)
+        return z
 
     def fetch(self, idx: int) -> Row:
         """The row of ``idx``, kept; targets not classified yet read UNSEEN."""
@@ -338,7 +310,7 @@ class Chain:
         ``keep``, joins them.  With the table dropped, every row is
         embedded.
         """
-        state = self.indexer.state(idx)
+        state = self.state(idx)
         row = states, weights, orders = self.model.successors(state)
         shapes, shape = self._shapes, None
         if shapes is not None:
@@ -360,7 +332,7 @@ class Chain:
         """Target descriptors of the fetched row of ``idx``, re-read unless last."""
         last, states = self._last
         if last != idx:
-            state = self.indexer.state(idx)
+            state = self.state(idx)
             states = self.model.successors(state)[0]
             if len(states) != len(self._rows[idx][0]):
                 raise ModelError(f"successors of {state!r} changed between calls")

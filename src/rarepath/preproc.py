@@ -112,7 +112,7 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
     stack = [trigger]
     while stack:
         x = stack.pop()
-        if chain.is_terminal(x):
+        if x < 0:
             continue
         rows[x] = targets, _probs, orders = chain.row(x)
         for z, r in zip(targets, orders):
@@ -171,7 +171,7 @@ def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
         if du > d.get(goal, INFINITY):
             break
         settled.add(x)
-        if chain.is_terminal(x):
+        if x < 0:
             continue
         expand = True
         while expand:
@@ -186,7 +186,7 @@ def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
                 if (
                     r == 0
                     and z in settled
-                    and not chain.is_terminal(z)
+                    and z >= 0
                     and d.get(z) == du
                     and z not in benign
                 ):
@@ -357,7 +357,8 @@ class PreprocessResult:
         merged taboo node share one descriptor and are counted once.
         """
         n, chain = len(self.lambda_indices), self.chain
-        if chain.initial_is_taboo and chain.taboo_index in self.lambda_indices:
+        taboo = chain.taboo_index
+        if chain.s_target == taboo and taboo in self.lambda_indices:
             n -= 1
         return n
 
@@ -387,7 +388,7 @@ def preprocess(
     """
     t0 = time.perf_counter()
     chain = Chain(model, state_budget)
-    if chain.initial_is_goal:
+    if chain.s_target == chain.goal_index:
         raise ModelError("initial state must not be a goal state")
     d_forward, lambda_set, hpc_count = forward_phase(chain)
     states_discovered = len(chain)

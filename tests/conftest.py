@@ -71,8 +71,8 @@ def enumerate_chain(
                 elif z == result.chain.taboo_index:
                     desc_row.append((TABOO, p, r))
                 else:
-                    desc_row.append((result.chain.indexer.state(z), p, r))
-            overrides[result.chain.indexer.state(idx)] = desc_row
+                    desc_row.append((result.chain.state(z), p, r))
+            overrides[result.chain.state(idx)] = desc_row
 
     rows: dict = {}
     start = list(seeds) if seeds is not None else [model.initial_state]
@@ -209,7 +209,7 @@ def brute_force_dominant_mass(model: MarkovModel, result: PreprocessResult):
 
     out = {}
     for x in lam | gamma:
-        idx = result.chain.indexer.lookup(x)
+        idx = result.chain.lookup(x)
         db = result.d_backward[idx]
         if math.isfinite(db):
             out[idx] = mass(x, db)
@@ -231,10 +231,10 @@ def goal_states_counted_singly(model: MarkovModel, result: PreprocessResult):
     chain, d = result.chain, result.d_forward
     in_lambda, in_gamma = set(), set()
     for x in result.lambda_indices:
-        if chain.is_terminal(x):
+        if x < 0:
             continue
         targets, _probs, orders = chain.row(x)
-        states = model.successors(chain.indexer.state(x))[0]
+        states = model.successors(chain.state(x))[0]
         for z, r, t in zip(targets, orders, states):
             if z == chain.goal_index:
                 (in_lambda if d[x] + r <= result.d_sg else in_gamma).add(t)

@@ -104,12 +104,12 @@ def test_criterion_3_cycle_removal():
     percentage point, and hitting probabilities are preserved to 1e-10."""
     model = two_type_deferred(epsilon=0.01)
     result = preprocess(model)
-    idx = result.chain.indexer.lookup((1, 0))
+    idx = result.chain.lookup((1, 0))
     assert idx in result.chain.overrides
     split = {}
     targets, probs, _orders = result.chain.overrides[idx]
     for z, p in zip(targets, probs):
-        key = "goal" if z == result.chain.goal_index else result.chain.indexer.state(z)
+        key = "goal" if z == result.chain.goal_index else result.chain.state(z)
         split[key] = split.get(key, 0.0) + p
     expected = {(2, 0): 0.66, (2, 1): 0.006, "goal": 0.33}
     split_ok = all(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -26,6 +27,14 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def seeded_rows(text):
+    """The rows of a CSV table, header included, without the runtime_ms
+    and wnvr columns: the rest is fixed by the seed and the workers."""
+    header, rows = parse_csv(text)
+    masked = [header.index("runtime_ms"), header.index("wnvr")]
+    return [[v for j, v in enumerate(row) if j not in masked] for row in [header, *rows]]
 
 
 # ---------------------------------------------------------- subcommands
@@ -231,11 +240,51 @@ def test_tables_do_not_depend_on_the_hash_seed(workers):
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        header, rows = parse_csv(proc.stdout)
-        masked = [header.index("runtime_ms"), header.index("wnvr")]
-        tables.append([[v for j, v in enumerate(row) if j not in masked] for row in rows])
-    assert len(tables[0]) == len(sampling.MEASURES)
+        tables.append(seeded_rows(proc.stdout))
+    assert len(tables[0]) == 1 + len(sampling.MEASURES)
     assert tables[0] == tables[1]
+
+
+#: sha256 of ``compare --format csv`` tables, rows joined by newlines and
+#: cells by commas, runtime_ms and wnvr dropped: every measure, 600 runs,
+#: seed 3, one worker
+COMPARE_DIGESTS = {
+    ("chain", "0.1", "plain"):
+        "dde959799b1a0e1e618ec132a7798eaae6ea9786fbd74fc4de1a8b86a8514e25",
+    ("chain", "0.1", "plusplus"):
+        "ae59e874c3b6017ce34e13e87418208f095fbbd780bec87ac05881d200850782",
+    ("two-type", "0.01", "plain"):
+        "b9c8bf8072e20aad956cf46f55c0cc249a5c3749d38b6cb7a573e8f4f44ca168",
+    ("two-type", "0.01", "plusplus"):
+        "744bb790867b1337c05fdfaeafe8842bde16d1ea4af8f3996268eb08b3702a87",
+    ("two-type-deferred", "0.1", "plain"):
+        "b9696c9ea2a1ab7cc4460693f4ac0b284632b790c2a4ef39b0fb73cccbde73a8",
+    ("two-type-deferred", "0.1", "plusplus"):
+        "ab2eb83fb8856d9cf07a4b480c3620301b3a45a381ce1a9db4f9450b599bb823",
+    ("two-type-unbalanced", "0.01", "plain"):
+        "6c0f3a4472b076a7a95e8856ea674b0ac385e2b0201a48cc2931ed9b3b1e5104",
+    ("two-type-unbalanced", "0.01", "plusplus"):
+        "c7b82686e9cb8d219be97aaea1c173792bb9c3fe9e5d2efb333c309b11b07f66",
+    ("dds", "0.01", "plain"):
+        "cf690ed8adbb2b3009639c554e47026fe6007857142de7bd664f2d1485f53817",
+    ("dds", "0.01", "plusplus"):
+        "4d2ae587b8e2c6e5694912af33e7c9b5c51f8210714a1c87d80194924a0927c0",
+}
+
+
+@pytest.mark.parametrize("model, epsilon, variant", list(COMPARE_DIGESTS))
+def test_compare_tables_are_pinned(capsys, model, epsilon, variant):
+    """Fixed (seed, workers) gives the same table, up to the wall time and
+    wnvr, on every model; DDS runs with FCFS repair."""
+    params = ["--param", "strategy=fcfs"] if model == "dds" else []
+    code, out, err = run_cli(
+        capsys, "compare", "--model", model, "--epsilon", epsilon, *params,
+        *(f"--method={m}" for m in sampling.MEASURES), "--variant", variant,
+        "--runs", "600", "--seed", "3", "--workers", "1", "--format", "csv",
+    )
+    assert code == 0, err
+    text = "\n".join(",".join(row) for row in seeded_rows(out))
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPARE_DIGESTS[model, epsilon, variant]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -250,7 +299,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("model,method,")
 
 
-def test_out_flag_to_an_unwritable_path_is_a_config_error(tmp_path, capsys):
+def test_out_flag_to_an_unwritable_path_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """The path is tried before any work: no estimate runs."""
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the output file was tried")
+
+    monkeypatch.setattr(cli, "run_estimator", no_estimate)
     target = tmp_path / "missing" / "table.csv"
     code, out, err = run_cli(
         capsys,
@@ -260,6 +315,20 @@ def test_out_flag_to_an_unwritable_path_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "cannot write output file" in err and str(target) in err
+
+
+def test_a_failed_run_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    """The early try at ``--out`` appends nothing and truncates nothing; a
+    new file it made stays, empty."""
+    kept, made = tmp_path / "kept.json", tmp_path / "made.json"
+    kept.write_text("earlier output\n")
+    for target in (kept, made):
+        code, _out, _err = run_cli(
+            capsys, "exact", "--model", "two-type-unbalanced", "--epsilon", "0.001",
+            "--budget", "10", "--out", str(target),
+        )
+        assert code == 3
+    assert kept.read_text() == "earlier output\n" and made.read_text() == ""
 
 
 # --------------------------------------------------------------- config

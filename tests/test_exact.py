@@ -288,7 +288,7 @@ def test_full_dds_solve_memory_is_bounded_per_row():
     """Row by row the traced peak is 16.9 MiB, reached in the assembly
     while the descriptor list holds every state; the bound leaves about
     1 MiB to spare.  It was 19.0 MiB while the oracle kept its chain, and
-    with it the indexer's map from descriptor to index, to the end."""
+    with it the chain's map from descriptor to index, to the end."""
     assert traced_peak(per_row(make_dds("dedicated", 0.01))) <= 18 * 2**20
 
 

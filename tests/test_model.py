@@ -1,4 +1,4 @@
-"""Model contract: CTMC embedding, transition resolution, state indexing."""
+"""Model contract: CTMC embedding, transition resolution, the chain's index."""
 
 import math
 import re
@@ -16,7 +16,6 @@ from rarepath.model import (
     UNSEEN,
     Chain,
     MarkovModel,
-    StateIndexer,
     embedded_row,
 )
 
@@ -302,7 +301,7 @@ def test_folded_row_reads_each_kind_of_target(held):
     fetched = chain.fetch(a)
     assert probs is fetched[1] and orders is fetched[2]
     assert fetched[0][3:5] == [UNSEEN, UNSEEN] and fetched[0][6] == UNSEEN
-    assert len(chain) == 5 and "e" not in chain.indexer
+    assert len(chain) == 5 and chain.lookup("e") is None
 
 
 class Ladder(MarkovModel):
@@ -436,19 +435,6 @@ def test_chain_stops_looking_up_shapes_that_never_repeat(period, looks):
         assert list(row[2]) == embedded_row(model, x)[2]
 
 
-def test_indexer_is_a_bijection():
-    ix = StateIndexer()
-    a = ix.index("a")
-    b = ix.index("b")
-    assert a != b
-    assert ix.index("a") == a  # stable
-    assert ix.state(a) == "a"
-    assert ix.state(b) == "b"
-    assert len(ix) == 2
-    assert "a" in ix and "c" not in ix
-    assert ix.lookup("c") is None
-
-
 def test_terminal_ids_read_no_state():
     """g and t are the hook's negative ids, not states: every id from 0 up
     is a state, and reading a terminal id raises instead of returning a
@@ -456,15 +442,26 @@ def test_terminal_ids_read_no_state():
     chain = Chain(TinyModel())
     assert chain.row(chain.s_index)[0] == [1, GOAL_CODE]
     assert chain.row(1)[0] == [TABOO_CODE]
-    assert len(chain) == 2 and chain.indexer.state(1) == "b"
+    assert len(chain) == 2 and chain.state(1) == "b"
     for idx in (chain.goal_index, chain.taboo_index):
-        assert chain.is_terminal(idx)
+        assert idx < 0
         with pytest.raises(IndexError, match="no state's index"):
-            chain.indexer.state(idx)
+            chain.state(idx)
         with pytest.raises(IndexError):
             chain.fetch(idx)
 
 
-def test_indexer_assigns_in_discovery_order():
-    ix = StateIndexer()
-    assert [ix.index(x) for x in ("x", "y", "z")] == [0, 1, 2]
+def test_chain_indexes_states_in_discovery_order():
+    """The chain is its own index: states get ids in first-discovery order,
+    s at 0, and keep them as more are discovered; ``lookup`` gives an id
+    without assigning one, and ``state`` maps an id back to its descriptor."""
+    chain = Chain(Fan())
+    assert chain.lookup("a") is None and len(chain) == 1
+    assert chain.row(chain.s_index)[0] == [1, 2, 3]
+    assert chain.row(1)[0] == [2, 4, TABOO_CODE, GOAL_CODE, GOAL_CODE, 3, 5]
+    assert chain.row(chain.s_index)[0] == [1, 2, 3]
+    assert chain.descriptors == ["s", "a", "b", "d", "c", "e"] and len(chain) == 6
+    for idx, state in enumerate(chain.descriptors):
+        assert chain.lookup(state) == idx and chain.state(idx) == state
+    assert chain.lookup("t") == TABOO_CODE
+    assert chain.lookup("g") is None and chain.lookup("x") is None

@@ -47,28 +47,28 @@ ALL_MODELS = [
 def test_chain_hand_traced_distances():
     """levels=5, eps=0.1: one forced step to level 1, then 4 up-steps."""
     result = preprocess(make_birth_death_chain(5, 0.1))
-    ix = result.chain.indexer
+    chain = result.chain
     d = result.d_forward
     assert result.d_sg == 4
-    assert d[ix.lookup("s")] == 0
-    assert d[ix.lookup(1)] == 0
-    assert d[ix.lookup(2)] == 1
-    assert d[ix.lookup(3)] == 2
-    assert d[ix.lookup(4)] == 3
+    assert d[chain.lookup("s")] == 0
+    assert d[chain.lookup(1)] == 0
+    assert d[chain.lookup(2)] == 1
+    assert d[chain.lookup(3)] == 2
+    assert d[chain.lookup(4)] == 3
     assert d[result.chain.taboo_index] == 0
 
 
 def test_chain_hand_traced_backward_values():
     """v(x) = eps**d(x, g): the only minimal path is straight up."""
     result = preprocess(make_birth_death_chain(5, 0.1))
-    ix = result.chain.indexer
+    chain = result.chain
     db = result.d_backward
-    assert db[ix.lookup(4)] == 1
-    assert db[ix.lookup(1)] == 4
-    assert db[ix.lookup("s")] == 4
+    assert db[chain.lookup(4)] == 1
+    assert db[chain.lookup(1)] == 4
+    assert db[chain.lookup("s")] == 4
     assert db[result.chain.taboo_index] == INFINITY
     for level in (1, 2, 3, 4):
-        idx = ix.lookup(level)
+        idx = chain.lookup(level)
         assert result.v_delta[idx] == pytest.approx(0.1 ** db[idx], rel=1e-12)
     assert result.p_delta == pytest.approx(1e-4, rel=1e-12)
 
@@ -82,12 +82,12 @@ def test_two_type_hand_traced_backward_values():
     the type-1 failure into the frontier state (2,3) is not a goal hit.
     """
     result = preprocess(two_type_basic(4, 4, 1.0, 0.01))
-    ix = result.chain.indexer
+    chain = result.chain
     db = result.d_backward
-    assert db[ix.lookup((2, 2))] == 2
-    assert db[ix.lookup((1, 1))] == 3
-    assert ix.lookup((2, 3)) in result.gamma_indices
-    assert result.v_delta[ix.lookup((1, 3))] == pytest.approx(0.01 / 1.02, rel=1e-12)
+    assert db[chain.lookup((2, 2))] == 2
+    assert db[chain.lookup((1, 1))] == 3
+    assert chain.lookup((2, 3)) in result.gamma_indices
+    assert result.v_delta[chain.lookup((1, 3))] == pytest.approx(0.01 / 1.02, rel=1e-12)
 
 
 class _Table(MarkovModel):
@@ -140,13 +140,13 @@ class _FrontierCycle(_Table):
 
 def test_frontier_order_0_cycle_values_solve_exactly():
     result = preprocess(_FrontierCycle())
-    ix = result.chain.indexer
-    assert {ix.state(i) for i in result.gamma_indices} == {"b", "c", "d", "e", "f"}
+    chain = result.chain
+    assert {chain.state(i) for i in result.gamma_indices} == {"b", "c", "d", "e", "f"}
     for state, expected in (("b", 4 / 15), ("c", 1 / 3), ("f", 7 / 30), ("d", 1 / 2)):
-        assert result.d_backward[ix.lookup(state)] == 1
-        assert result.v_delta[ix.lookup(state)] == pytest.approx(expected, rel=1e-12)
-    assert result.d_backward[ix.lookup("e")] == INFINITY
-    assert result.v_delta[ix.lookup("e")] == 0.0
+        assert result.d_backward[chain.lookup(state)] == 1
+        assert result.v_delta[chain.lookup(state)] == pytest.approx(expected, rel=1e-12)
+    assert result.d_backward[chain.lookup("e")] == INFINITY
+    assert result.v_delta[chain.lookup("e")] == 0.0
     assert result.p_delta == pytest.approx(0.1, rel=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_chain_relevant_set_and_frontier():
     assert result.hpc_count == 0
     assert result.gamma_size == 0
     chain = result.chain
-    names = {chain.indexer.state(i) for i in result.lambda_indices if not chain.is_terminal(i)}
+    names = {chain.state(i) for i in result.lambda_indices if i >= 0}
     assert names >= {"s", 1, 2, 3, 4}
 
 
@@ -171,7 +171,7 @@ def test_forward_distances_match_bellman_ford(factory):
     for idx in result.lambda_indices:
         if idx in (result.chain.goal_index, result.chain.taboo_index):
             continue
-        state = result.chain.indexer.state(idx)
+        state = result.chain.state(idx)
         assert result.d_forward[idx] == dist[state], state
 
 
@@ -183,7 +183,7 @@ def test_relevant_set_is_exactly_the_close_states(factory):
     dist, dist_goal = bellman_ford_distance(model, result)
     expected = {x for x, dx in dist.items() if dx <= dist_goal}
     got = {
-        result.chain.indexer.state(i)
+        result.chain.state(i)
         for i in result.lambda_indices
         if i not in (result.chain.goal_index, result.chain.taboo_index)
     }
@@ -240,7 +240,7 @@ def test_dominant_path_mass_matches_enumeration(factory):
     for idx, expected in reference.items():
         assert result.v_delta[idx] == pytest.approx(
             expected, rel=1e-12, abs=1e-300
-        ), result.chain.indexer.state(idx)
+        ), result.chain.state(idx)
 
 
 @pytest.mark.parametrize("factory", ALL_MODELS)
@@ -248,7 +248,7 @@ def test_dominant_mass_is_a_probability(factory):
     """0 <= v(x) <= 1 everywhere, and the start state keeps positive mass."""
     result = preprocess(factory())
     for idx, v in result.v_delta.items():
-        assert 0.0 <= v <= 1.0 + 1e-9, result.chain.indexer.state(idx)
+        assert 0.0 <= v <= 1.0 + 1e-9, result.chain.state(idx)
     assert result.p_delta > 0.0
 
 
@@ -287,7 +287,7 @@ def _namer(chain):
     def name(x):
         if x == chain.goal_index:
             return "g"
-        return "t" if x == chain.taboo_index else repr(chain.indexer.state(x))
+        return "t" if x == chain.taboo_index else repr(chain.state(x))
 
     return name
 
@@ -419,7 +419,7 @@ def test_near_absorbing_loop_gets_stochastic_replacement_rows(p_exit):
         "b": [("t", p_exit, 9), ("a", 1.0 - p_exit, 0)],
     }))
     chain = result.chain
-    rows = {chain.indexer.state(x): row for x, row in chain.overrides.items()}
+    rows = {chain.state(x): row for x, row in chain.overrides.items()}
     assert set(rows) == {"a", "b"}
     for targets, probs, orders in rows.values():
         assert targets == [chain.goal_index, chain.taboo_index]
@@ -569,8 +569,8 @@ def test_backward_phase_indexes_no_state(factory, discovered):
     chain = result.chain
     assert len(chain) == result.states_discovered
     for x in result.lambda_indices:
-        if not chain.is_terminal(x):
-            assert UNSEEN not in chain.fetch(x)[0], chain.indexer.state(x)
+        if x >= 0:
+            assert UNSEEN not in chain.fetch(x)[0], chain.state(x)
     if discovered is not None:
         assert result.states_discovered == discovered
 
@@ -610,13 +610,13 @@ def test_processing_order_is_topological(factory):
     inner = lam | result.gamma_indices
     successors = {}
     for x in inner:
-        if chain.is_terminal(x) or db[x] == INFINITY:
+        if x < 0 or db[x] == INFINITY:
             continue
         targets, _probs, orders = (
             chain.row(x) if x in lam else chain.folded_row(x, inner)
         )
         edges = [i for i, (z, r) in enumerate(zip(targets, orders)) if r + db[z] == db[x]]
-        assert result.dominant_edges[x] == edges, chain.indexer.state(x)
+        assert result.dominant_edges[x] == edges, chain.state(x)
         successors[x] = {targets[i] for i in edges}
     assert len(result.dominant_edges) == len(successors)
 
@@ -636,9 +636,9 @@ def test_processing_order_is_topological(factory):
     assert len(position) == len(result.processing_order)
     for x in set(successors) - cyclic:
         for z in successors[x]:
-            assert position[z] < position[x], result.chain.indexer.state(x)
+            assert position[z] < position[x], result.chain.state(x)
     if factory is _FrontierCycle:
-        assert {result.chain.indexer.state(x) for x in cyclic} == {"b", "c", "d", "f"}
+        assert {result.chain.state(x) for x in cyclic} == {"b", "c", "d", "f"}
 
 
 def test_report_fields():
@@ -667,7 +667,7 @@ def test_report_unchanged_after_sampling_and_oracle_grow_the_chain():
 def test_regenerative_start_counted_once():
     """When s is also the return state, Lambda counts it a single time."""
     result = preprocess(two_type_basic(3, 3, 1.0, 0.05))
-    assert result.chain.initial_is_taboo
+    assert result.chain.s_target == result.chain.taboo_index
     if result.chain.taboo_index in result.lambda_indices:
         assert result.lambda_size == len(result.lambda_indices) - 1
 

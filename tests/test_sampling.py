@@ -94,8 +94,8 @@ def test_zva_dbar_pinned_transition_probability():
     model = make_birth_death_chain(5, 0.1)
     com = com_for("zva-dbar", model)
     chain = com.result.chain
-    row = chain.row(chain.indexer.lookup(2))
-    q_up = com.distribution(row, True)[row[0].index(chain.indexer.lookup(3))]
+    row = chain.row(chain.lookup(2))
+    q_up = com.distribution(row, True)[row[0].index(chain.lookup(3))]
     assert q_up == pytest.approx(0.001 / (0.001 + 9e-5), rel=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_zva_delta_equals_dbar_on_the_chain():
 
     def q(com, state):
         chain = com.result.chain
-        return com.distribution(chain.row(chain.indexer.lookup(state)), True)
+        return com.distribution(chain.row(chain.lookup(state)), True)
 
     for state in (1, 2, 3, 4):
         assert q(dbar, state) == pytest.approx(q(delta, state), rel=1e-12)
@@ -184,7 +184,7 @@ def _replay(com, chain, rng_state):
     rng.setstate(rng_state)
     state, context = chain.s_index, com.is_zva
     lik, order_sum, left_lambda, steps = 1.0, 0, False, 0
-    while not chain.is_terminal(state):
+    while state >= 0:
         row = chain.row(state)
         targets, probs, orders = row
         q = com.distribution(row, context)
@@ -330,7 +330,7 @@ def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
     read = Chain._read
 
     def counting_read(chain, idx, keep):
-        fresh.append(chain.indexer.state(idx))
+        fresh.append(chain.state(idx))
         return read(chain, idx, keep)
 
     class CountingDds(DdsModel):
@@ -349,7 +349,7 @@ def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
     chain, resolved = result.chain, set(fresh)
 
     def unseen(state):
-        return chain.fetch(chain.indexer.lookup(state))[0].count(UNSEEN)
+        return chain.fetch(chain.lookup(state))[0].count(UNSEEN)
 
     before = {x: unseen(x) for x in resolved}
     model.expanded.clear()
@@ -363,7 +363,7 @@ def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
     assert rereads, "no path resolved a target of an older row"
     assert rereads.total() == len(model.expanded) - len(fresh)
     for x, n in rereads.items():
-        row = chain.fetch(chain.indexer.lookup(x))[0]
+        row = chain.fetch(chain.lookup(x))[0]
         assert n <= before.get(x, len(row)) - unseen(x), x
 
 
@@ -373,6 +373,7 @@ def test_bfb_estimate_memory_is_bounded():
     and the sampler's p/q table (9.3 MiB with one probability array per
     row), 19.5 MiB when it kept every row's."""
     model = make_dds("fcfs", 0.01)
+    gc.collect()  # so the peak does not depend on what earlier tests left
     tracemalloc.start()
     try:
         run_estimator(model, ChangeOfMeasure("bfb"), n_runs=10_000, seed=0)
