@@ -451,17 +451,25 @@ def test_terminal_ids_read_no_state():
             chain.fetch(idx)
 
 
-def test_chain_indexes_states_in_discovery_order():
+def test_indexer_assigns_in_discovery_order():
     """The chain is its own index: states get ids in first-discovery order,
-    s at 0, and keep them as more are discovered; ``lookup`` gives an id
-    without assigning one, and ``state`` maps an id back to its descriptor."""
+    s at 0, and keep them as more are discovered."""
     chain = Chain(Fan())
     assert chain.lookup("a") is None and len(chain) == 1
     assert chain.row(chain.s_index)[0] == [1, 2, 3]
     assert chain.row(1)[0] == [2, 4, TABOO_CODE, GOAL_CODE, GOAL_CODE, 3, 5]
     assert chain.row(chain.s_index)[0] == [1, 2, 3]
     assert chain.descriptors == ["s", "a", "b", "d", "c", "e"] and len(chain) == 6
+
+
+def test_indexer_is_a_bijection():
+    """``lookup`` gives a state's id without assigning one, and ``state``
+    maps an id back to its descriptor; unknown states and g give None."""
+    chain = Chain(Fan())
+    chain.row(chain.s_index)
+    chain.row(1)
     for idx, state in enumerate(chain.descriptors):
         assert chain.lookup(state) == idx and chain.state(idx) == state
+    assert len(set(chain.descriptors)) == len(chain)
     assert chain.lookup("t") == TABOO_CODE
     assert chain.lookup("g") is None and chain.lookup("x") is None
