@@ -23,9 +23,13 @@ reachable from them, so leaving Lambda is never starved of probability.
 the path's context: q (``distribution``) and the context after a position
 (``next_context``), which for ZVA also says whether every step so far took
 one of preprocessing's ``dominant_edges``.  ``Sampler`` walks nodes
-``state * k + context`` (k contexts per state) into g or t, whose node ids
-are the chain's own negative ids; each node's step holds q, the next node
-and p/q at every position, so the walk tests no measure's kind or context.
+``state * k + context`` (k contexts per state) into g or t; each node's step
+holds q, the next node and p/q at every position, so the walk tests no
+measure's kind or context.  A terminal position holds an end code, set once
+when the position is first drawn: g's and t's own negative ids, or for ZVA
+one of three codes for g along a dominant edge and g or t after leaving
+Lambda, so a path's end labels are read, not worked out.  Each path is one
+``Sampler.sample`` call returning a slots ``PathSample``.
 
 Estimators
 ----------
@@ -48,7 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import accumulate, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Sequence
 
 from rarepath.errors import ConfigError, ConvergenceError
@@ -71,6 +75,14 @@ MAX_STEPS = 10_000_000
 _STEPS = range(1, MAX_STEPS + 1)
 #: ZVA contexts: left Lambda; in it; in it on dominant edges only, as at s
 LEFT, INSIDE, DOMINANT = 0, 1, 2
+#: ZVA end codes beside g (GOAL_CODE) and t (TABOO_CODE), below UNSEEN: g
+#: along a dominant edge from DOMINANT, and g and t from LEFT
+DOMINANT_GOAL, LEFT_GOAL, LEFT_TABOO = -4, -5, -6
+#: a path's (hit_goal, left_lambda, dominant) by -(end code)
+_ENDS = (
+    None, (False, False, False), (True, False, False), None,
+    (True, False, True), (True, True, False), (False, True, False),
+)
 
 
 @dataclass(frozen=True)
@@ -136,13 +148,16 @@ class ChangeOfMeasure:
         return DOMINANT if on else INSIDE
 
 
-class PathSample(tuple):
-    """One path: (hit_goal, likelihood, steps, left_lambda, dominant)."""
+class PathSample:
+    """One path: whether it hit g, its likelihood ratio, its steps, whether
+    it left Lambda and whether it is dominant.  ``Sampler.sample`` fills the
+    slots of a bare instance, with no ``__init__`` call."""
 
-    __slots__ = ()
-    hit_goal, likelihood, steps, left_lambda, dominant = (
-        property(itemgetter(i)) for i in range(5)
-    )
+    __slots__ = ("hit_goal", "likelihood", "steps", "left_lambda", "dominant")
+
+
+#: makes the bare PathSample that ``Sampler.sample`` fills
+_new = object.__new__
 
 
 #: one node's compiled step: cumulative q, next node ids and p/q
@@ -193,7 +208,8 @@ class Sampler:
     measure's number of contexts (3 for ZVA, 2 for igbs), so a state of
     Lambda may have an INSIDE and a DOMINANT node; for k = 1 (mc, bfb) a
     node is its state's chain index and its step's next nodes are the
-    row's own target list.  g and t keep the chain's negative ids.  The
+    row's own target list.  g and t keep the chain's negative ids, except
+    where a ZVA position's end code says more (``_resolve``).  The
     step list is indexed by node id: k slots of 8 bytes per state of the
     chain's index range.  A step is compiled on a node's first visit and a
     next node resolved on its position's first draw, so a sampler grows
@@ -217,12 +233,11 @@ class Sampler:
         #: (shared by the chain's rows of one shape), by the array's id:
         #: (p/q, cumulative q, probabilities), which hold the ids
         self._ratios: dict[int, tuple] = {}
-        #: what every path reads, unpacked by ``sample`` in one load; Chain.target
-        #: resolves where k = 1, and only ZVA starts at DOMINANT and has LEFT
+        #: what every path reads, unpacked by ``sample`` in one load;
+        #: Chain.target resolves where k = 1, and only ZVA starts at DOMINANT
         self._consts = (
-            self._steps, chain.target if k == 1 else self._resolve, k,
-            chain.s_index * k + (DOMINANT if is_zva else 0), LEFT if is_zva else None,
-            com.result.dominant_edges if is_zva else None,
+            self._steps, chain.target if k == 1 else self._resolve,
+            chain.s_index * k + (DOMINANT if is_zva else 0),
         )
 
     def _compile(self, node: int) -> Step:
@@ -270,20 +285,35 @@ class Sampler:
         return share(vector, vector)
 
     def _resolve(self, node: int, i: int) -> int:
-        """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept there."""
+        """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept there.
+
+        A terminal position is labelled here, once: g and t keep their ids,
+        but a ZVA position writes DOMINANT_GOAL for g along a dominant edge
+        from DOMINANT, and LEFT_GOAL or LEFT_TABOO from LEFT, so ``sample``
+        reads a path's end labels from the code alone.  A dominant edge ends
+        in g, never in t.  igbs gets no ZVA code."""
         chain, k = self.chain, self._k
         state, context = divmod(node, k)
         nxt = chain.target(state, i)
-        if nxt >= 0:  # a state; g and t keep their ids as node ids
+        if nxt >= 0:  # a state: its node in the next context
             nxt = nxt * k + self.com.next_context(state, chain.fetch(state), context, i)
+        elif self.com.is_zva:  # an end code by the context it ends from
+            if context == LEFT:
+                nxt = LEFT_GOAL if nxt == GOAL_CODE else LEFT_TABOO
+            elif context == DOMINANT and i in self.com.result.dominant_edges[state]:
+                nxt = DOMINANT_GOAL
         self._steps[node][1][i] = nxt
         return nxt
 
     def sample(self, rng: random.Random) -> PathSample:
-        """One path from s into g or t; the per-path unit that ``perfbench``
-        wraps and times.  A ZVA path ending from a LEFT node has left Lambda,
-        and one ending from DOMINANT along a dominant edge is dominant."""
-        table, resolve, k, node, left, dominant_edges = self._consts
+        """One path from s into g or t.
+
+        The path's end labels are read from its last position's end code
+        (``_resolve``), with no context test.  This is the per-path unit that
+        ``perfbench``'s trace hook wraps and times; the hook reads a path's
+        ``steps`` and ``left_lambda``, so paths stay one call each rather
+        than a walk inlined into ``_run_stream``."""
+        table, resolve, node = self._consts
         draw, bisect = rng.random, bisect_right
         likelihood = 1.0
         for steps in _STEPS:
@@ -294,13 +324,15 @@ class Sampler:
             i = bisect(cum, draw())
             likelihood *= ratios[i]
             nxt = nodes[i]
-            if nxt < 0:  # unresolved, g or t
+            if nxt < 0:  # unresolved or an end code
                 if nxt == UNSEEN:
                     nxt = resolve(node, i)
-                if nxt < 0:  # a dominant edge ends in g, never in t
-                    context = node % k  # the state only where it is needed
-                    dominant = context == DOMINANT and i in dominant_edges[node // k]
-                    return PathSample((nxt == GOAL_CODE, likelihood, steps, context == left, dominant))
+                if nxt < 0:
+                    path = _new(PathSample)
+                    path.hit_goal, path.left_lambda, path.dominant = _ENDS[-nxt]
+                    path.likelihood = likelihood
+                    path.steps = steps
+                    return path
             node = nxt
         raise ConvergenceError("path exceeded the step cap")
 
@@ -365,13 +397,14 @@ def _run_stream(
     for _ in range(n):
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        hit, likelihood, _steps, _left, dominant = sample(rng)
-        x = likelihood if hit else 0.0
+        path = sample(rng)
+        hit = path.hit_goal
+        x = path.likelihood if hit else 0.0
         count += 1
         sum1 += x
         sum2 += x * x
         hits += hit
-        if not dominant:
+        if not path.dominant:
             m += 1
             nd_sum1 += x
             nd_sum2 += x * x

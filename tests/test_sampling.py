@@ -303,21 +303,28 @@ def cycle_chains(draw):
 @settings(max_examples=150, deadline=None)
 @given(cycle_chains(), st.sampled_from(sampling.ZVA_MEASURES))
 def test_context_dominance_matches_the_order_sum_rule(rows, kind):
-    """The sampler's dominance label, kept in its node contexts along
-    preprocessing's dominant edges, equals the order-sum rule on every
-    path, on chains whose sampler walks cycle-removal override rows."""
+    """The sampler's end labels, each set once per terminal position: its
+    dominance label, kept in its node contexts along preprocessing's
+    dominant edges, equals the order-sum rule on every path, and the goal
+    hit, the exit from Lambda and the length equal the replay's, on chains
+    whose sampler walks cycle-removal override rows and whose paths may
+    leave Lambda."""
     model = _Rates(rows)
     com = com_for(kind, model)
     assert com.result.chain.overrides
     assert com.result.d_backward[com.result.chain.s_index] == com.result.d_sg
     sampler = Sampler(model, com)
     replay = com_for(kind, model)
+    chain = replay.result.chain
     rng = random.Random(5)
     for _ in range(60):
         before = rng.getstate()
         s = sampler.sample(rng)
-        replayed = _replay(replay, replay.result.chain, before)
-        assert s.dominant == _order_sum_rule(replay, replay.result.chain, replayed)
+        replayed = _replay(replay, chain, before)
+        _lik, _order_sum, steps, left_lambda, end, _after = replayed
+        assert s.hit_goal == (end == chain.goal_index)
+        assert (s.steps, s.left_lambda) == (steps, left_lambda)
+        assert s.dominant == _order_sum_rule(replay, chain, replayed)
 
 
 def test_estimate_expands_only_states_preprocessing_never_resolved(monkeypatch):
@@ -705,6 +712,7 @@ PINNED_PATHS = {
 }
 
 PIN_MODELS = {
+    "dedicated": lambda: make_dds("dedicated", 0.01),
     "fcfs": lambda: make_dds("fcfs", 0.01),
     "redundancy": lambda: two_type_basic(20, 20, 1.0, 0.1),
     "revisit": Revisit,
@@ -734,17 +742,40 @@ def test_sampled_paths_are_pinned(name, kind, paths):
 #: at seed 23 (paths, sums of X and X^2, hits, non-dominant paths and their
 #: sums of X and X^2), floats by ``float.hex``
 PINNED_STREAMS = {
+    ("dedicated", "bfb"): (
+        2000, "0x1.0e5b51565f399p-5", "0x1.d310438d2cff0p-16", 276, 2000,
+        "0x1.0e5b51565f399p-5", "0x1.d310438d2cff0p-16"),
+    ("dedicated", "igbs"): (
+        2000, "0x1.7053b147a54c2p-5", "0x1.08f85c5bef07bp-9", 2, 2000,
+        "0x1.7053b147a54c2p-5", "0x1.08f85c5bef07bp-9"),
+    ("dedicated", "mc"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
+    ("dedicated", "zva-dbar"): (
+        2000, "0x1.1f18a9fb2b0edp-5", "0x1.62eda8ffc6a21p-21", 1998, 29,
+        "0x1.8cd782e71b9a8p-10", "0x1.85438f358305ep-24"),
+    ("dedicated", "zva-delta"): (
+        2000, "0x1.20215bbfdf29cp-5", "0x1.5704bfc933780p-21", 1953, 104,
+        "0x1.9b31c5807fb80p-10", "0x1.74644da1eec26p-25"),
     ("fcfs", "bfb"): (
         2000, "0x1.6f995e35b0eb5p-3", "0x1.a443c3b32548ap-10", 401, 2000,
         "0x1.6f995e35b0eb5p-3", "0x1.a443c3b32548ap-10"),
+    ("fcfs", "igbs"): (
+        2000, "0x1.3852585f6ffeap-23", "0x1.7d08d1e55ca22p-46", 1, 2000,
+        "0x1.3852585f6ffeap-23", "0x1.7d08d1e55ca22p-46"),
     ("fcfs", "mc"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
+    ("fcfs", "zva-dbar"): (
+        2000, "0x1.0447037ee04dbp-2", "0x1.410737aa014e1p-14", 1980, 220,
+        "0x1.98f3f136fbf61p-5", "0x1.98db4f5857c96p-15"),
     ("fcfs", "zva-delta"): (
         2000, "0x1.0d7bbc993a888p-2", "0x1.7ad7f5fd01a85p-14", 1810, 346,
         "0x1.dd872ae9e98bap-5", "0x1.0f9eebc2527d5p-14"),
     ("redundancy", "bfb"): (
         2000, "0x1.4f688a643f11dp-86", "0x1.a66ee4db578e9p-172", 74, 2000,
         "0x1.4f688a643f11dp-86", "0x1.a66ee4db578e9p-172"),
+    ("redundancy", "igbs"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
     ("redundancy", "mc"): (2000, "0x0.0p+0", "0x0.0p+0", 0, 2000, "0x0.0p+0", "0x0.0p+0"),
+    ("redundancy", "zva-dbar"): (
+        2000, "0x1.cf722311c2278p-53", "0x1.70ea8d085ededp-115", 1852, 1924,
+        "0x1.bf61be2b09fd3p-53", "0x1.6a20160b03093p-115"),
     ("redundancy", "zva-delta"): (
         2000, "0x1.c1ca065fed7c8p-53", "0x1.af1bba3a2464cp-115", 1504, 1871,
         "0x1.b3bffb6689652p-53", "0x1.ac0d706d32abfp-115"),
