@@ -164,6 +164,14 @@ def _emit_table(rows: list[list[str]], fmt: str, out: str | None) -> None:
     _write(text, out)
 
 
+def _state_budget(args: argparse.Namespace, default: int) -> int:
+    """``--budget``, or ``default``: a budget below 1 state is a ConfigError."""
+    budget = parse_number("--budget", args.budget, int, default)
+    if budget < 1:
+        raise ConfigError(f"--budget must be at least 1: {budget}")
+    return budget
+
+
 def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str]]:
     params = _parse_params(args.param)
     methods = args.method or (["zva-delta"] if not with_mc_baseline else ["mc"])
@@ -181,7 +189,7 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
         n_runs = 10_000
     seed = parse_number("--seed", args.seed, int, 0)
     workers = parse_number("--workers", args.workers, int, 1)
-    state_budget = parse_number("--budget", args.budget, int, DEFAULT_STATE_BUDGET)
+    state_budget = _state_budget(args, DEFAULT_STATE_BUDGET)
     rows: list[list[str]] = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
@@ -217,7 +225,7 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    state_budget = parse_number("--budget", args.budget, int, DEFAULT_STATE_BUDGET)
+    state_budget = _state_budget(args, DEFAULT_STATE_BUDGET)
     reports = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
@@ -239,7 +247,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
-    cap = parse_number("--budget", args.budget, int, DEFAULT_STATE_CAP)
+    cap = _state_budget(args, DEFAULT_STATE_CAP)
     out = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)

@@ -217,8 +217,8 @@ def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
 def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
     """Distance-to-goal and dominant-path probability over Lambda + Gamma.
 
-    Returns Gamma, d(., g), v, the processing order and the dominant
-    edges, in the order of the fields of ``PreprocessResult``.
+    Returns Gamma, d(., g), v and the dominant edges, in the order of the
+    fields of ``PreprocessResult``.
 
     Gamma is the frontier: non-terminal states directly reachable from
     Lambda that lie outside it.  Frontier states keep their own rows;
@@ -233,15 +233,14 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
 
     Each state's dominant edges are kept as row positions
     (``dominant_edges``), and v is evaluated in one topological pass over
-    them from g: a state follows once its last dominant successor is done
-    (``processing_order``).  Cycle removal left no order-0 cycle inside
-    Lambda, but frontier states may still form one; the pass never reaches
-    the states caught in or behind such a cycle.  Each has a dominant path
-    out of their set, and their v is M v(exits): M holds the
-    probabilities of leaving along dominant edges (``solve_absorbing``;
-    every other edge leads to a sink with v = 0), and every exit's v is
-    known.  States that cannot reach g come last, with v = 0.  Per-state
-    data are lists indexed by chain id, and no container is made per edge.
+    them from g: a state follows once its last dominant successor is done.
+    Cycle removal left no order-0 cycle inside Lambda, but frontier states
+    may still form one; the pass never reaches the states caught in or
+    behind such a cycle.  Each has a dominant path out of their set, and
+    their v is M v(exits): M holds the probabilities of leaving along
+    dominant edges (``solve_absorbing``; every other edge leads to a sink
+    with v = 0), and every exit's v is known.  Per-state data are lists
+    indexed by chain id, and no container is made per edge.
     """
     goal, taboo = chain.goal_index, chain.taboo_index
     rows: dict[int, Row] = {x: chain.row(x) for x in sorted(lambda_set) if x >= 0}
@@ -305,11 +304,9 @@ def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:
         exits, m = solve_absorbing(rows, rest, dominant)
         for x, mu in zip(rest, m):
             v[x] = fsum(p * v[z] for p, z in zip(mu, exits))
-    unreachable = sorted(x for x in inner if db[x] == INFINITY)
-    order = (goal, *done, *rest, *unreachable)
     d_backward = {x: db[x] for x in (*{*inner, goal}, taboo)}
-    v_delta = {goal: 1.0, taboo: 0.0} | {x: v[x] for x in order}
-    return frozenset(gamma), d_backward, v_delta, order, dominant
+    v_delta = {goal: 1.0, taboo: 0.0} | {x: v[x] for x in inner}
+    return frozenset(gamma), d_backward, v_delta, dominant
 
 
 @dataclass
@@ -332,7 +329,6 @@ class PreprocessResult:
     gamma_indices: frozenset[int]
     d_backward: dict[int, Order]
     v_delta: dict[int, float]
-    processing_order: tuple[int, ...]
     #: row positions of the dominant edges of every state with a finite
     #: d(., g); a frontier state's target beyond Lambda + Gamma reads as g
     dominant_edges: dict[int, list[int]]

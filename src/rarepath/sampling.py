@@ -37,7 +37,8 @@ Estimators
 * ``plus``:     P(dominant) + mean of L over non-dominant goal hits,
                 averaged over all N runs.
 * ``plusplus``: P(dominant) + Q(non-dominant) * Y, where Y averages L over
-                the M non-dominant runs only; its variance uses the
+                the M non-dominant runs only and Q(dominant) sums q over
+                a sampler's DOMINANT nodes; its variance uses the
                 conditional decomposition Q(Psi) * Var(L | Psi) / N.
 """
 
@@ -340,23 +341,31 @@ class Sampler:
 def compute_q_delta(com: ChangeOfMeasure) -> float:
     """Probability that a sampled path is dominant, under the measure.
 
-    The backward phase's recursion for v with q in place of p: w(g) = 1
-    and w(x) sums q(x, z) * w(z) over the dominant edges (x, z) that
-    preprocessing kept, evaluated over Lambda in backward processing
-    order; returns w(s).  A dominant path from s has order d(s, g) in
-    total, so it never leaves Lambda, and w = 0 everywhere else.
+    w(DOMINANT_GOAL) = 1, and w(n) sums q * w(next) over n's positions into
+    DOMINANT_GOAL or a DOMINANT node, in row order, on a sampler of its own;
+    returns w at s.  A stack, not recursion, walks the nodes, which form no
+    cycle and lie in Lambda, whose rows are classified.
     """
     if not com.is_zva:
         raise ConfigError("dominance probability requires a ZVA measure")
-    res = com.result
-    chain, dominant = res.chain, res.dominant_edges
-    w: dict[int, float] = {chain.goal_index: 1.0}
-    for x in res.processing_order:
-        if x in res.lambda_indices and x in dominant:
-            row = chain.row(x)
-            q, targets = com.distribution(row, True), row[0]
-            w[x] = reduce(add, [q[i] * w.get(targets[i], 0.0) for i in dominant[x]], 0.0)
-    return w.get(chain.s_index, 0.0)
+    sampler = Sampler(com.result.chain.model, com)
+    k, w, terms = sampler._k, {DOMINANT_GOAL: 1.0}, {}
+    stack = [start := sampler.chain.s_index * k + DOMINANT]
+    while stack:
+        node = stack[-1]
+        if node in terms:  # expanded, and every next node is done
+            stack.pop()
+            w[node] = reduce(add, [qi * w[nxt] for qi, nxt in terms[node]], 0.0)
+            continue
+        sampler._compile(node)
+        q = com.distribution(sampler.chain.fetch(node // k), DOMINANT)
+        terms[node] = nexts = [
+            (qi, nxt) for i, qi in enumerate(q)
+            if (nxt := sampler._resolve(node, i)) == DOMINANT_GOAL
+            or nxt >= 0 and nxt % k == DOMINANT
+        ]
+        stack += [nxt for _qi, nxt in nexts if nxt not in w]
+    return w[start]
 
 
 @dataclass

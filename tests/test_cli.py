@@ -117,10 +117,11 @@ def test_exact_budget_caps_states(capsys):
 
 
 @pytest.mark.parametrize("command", ["preprocess", "exact"])
-@pytest.mark.parametrize("budget, expected", [("5", 0), ("4", 3)])
+@pytest.mark.parametrize("budget, expected", [("5", 0), ("4", 3), ("1", 3)])
 def test_budget_counts_non_terminal_states(capsys, command, budget, expected):
     """The birth-death chain has five non-terminal states; g and t are
-    free, and the preprocessing report does not count them either."""
+    free, and the preprocessing report does not count them either.  One
+    state is the smallest valid budget."""
     code, out, err = run_cli(
         capsys, command, "--model", "chain", "--epsilon", "0.1", "--budget", budget
     )
@@ -472,6 +473,16 @@ def test_workers_below_one_or_beside_a_time_budget_is_a_config_error(capsys, fla
     )
     assert code == 2
     assert "workers" in err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "estimate", "compare", "exact"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_state_budget_below_one_is_a_config_error(capsys, command, budget):
+    code, _out, err = run_cli(
+        capsys, command, "--model", "chain", "--epsilon", "0.1", "--budget", budget
+    )
+    assert code == 2
+    assert "--budget" in err
 
 
 def test_state_budget_exhaustion_exit_code(capsys):

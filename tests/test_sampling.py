@@ -7,6 +7,8 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -19,6 +21,7 @@ from rarepath.exact import exact_hitting_probability
 from rarepath.model import UNSEEN, Chain, MarkovModel
 from rarepath.preproc import preprocess
 from rarepath.sampling import (
+    ZVA_MEASURES,
     ChangeOfMeasure,
     Estimate,
     Sampler,
@@ -29,11 +32,13 @@ from rarepath.sampling import (
     zva_distribution,
 )
 from rarepath.zoo import (
+    DDS_STRATEGIES,
     DdsModel,
     make_birth_death_chain,
     make_dds,
     two_type_basic,
     two_type_deferred,
+    two_type_unbalanced,
 )
 
 
@@ -485,6 +490,81 @@ def test_q_delta_requires_zva():
         compute_q_delta(ChangeOfMeasure("mc"))
 
 
+#: q_Delta under (zva-delta, zva-dbar) by model, as ``float.hex``, captured
+#: from a dynamic program over preprocessing's dominant edges in backward
+#: order, which shares no code with the sampler
+PINNED_Q_DELTA = {
+    "dds-dedicated-0.1": ("0x1.6729b9936799cp-1", "0x1.6fd0eb66fd0e6p-1"),
+    "dds-dedicated-0.01": ("0x1.e1104dd13eab7p-1", "0x1.f528afa35eab0p-1"),
+    "dds-disk_priority-0.1": ("0x1.ded9913486ea5p-2", "0x1.66f5b72860604p-2"),
+    "dds-disk_priority-0.01": ("0x1.91b85f05146aep-1", "0x1.b4e0ea9a24708p-1"),
+    "dds-proc_priority-0.1": ("0x1.58ff9ac8033fcp-1", "0x1.6fd0eb66fd0e6p-1"),
+    "dds-proc_priority-0.01": ("0x1.e0b7e2e83fa50p-1", "0x1.f528afa35eab0p-1"),
+    "dds-fcfs-0.1": ("0x1.141fbbb3952a5p-1", "0x1.f4d4ed6262e5dp-2"),
+    "dds-fcfs-0.01": ("0x1.a48319fc069a8p-1", "0x1.c6f2316024fc0p-1"),
+    "two-type-0.1": ("0x1.4a3de373315d9p-1", "0x1.433b79890cedep-1"),
+    "two-type-0.01": ("0x1.e335482b6f1dep-1", "0x1.e73ef700252bep-1"),
+    "two-type-0.001": ("0x1.fcf2c75010ec2p-1", "0x1.fd72dca0206a3p-1"),
+    "two-type-2": ("0x1.b6db6db6db6dbp-1", "0x1.d1745d1745d18p-1"),
+    "two-type-8": ("0x1.7601c2e402757p-2", "0x1.37c2733f0cdd8p-2"),
+    "two-type-20": ("0x1.0fa3a2247f366p-4", "0x1.17ba2f53d798ap-5"),
+    "two-type-40": ("0x1.fa17db179c3ccp-9", "0x1.d2f8917ad29f6p-11"),
+    "deferred-0.15": ("0x1.f7f59084dbc02p-1", "0x1.fe6f2760f83cdp-1"),
+    "deferred-0.1": ("0x1.f8afae5d838d4p-1", "0x1.fef4bff5fc1b2p-1"),
+    "deferred-0.01": ("0x1.fdde760430674p-1", "0x1.ffe5459b78f49p-1"),
+    "unbalanced-0.1": ("0x1.a2a18d5ec5568p-1", "0x1.bf1dda4805125p-1"),
+    "unbalanced-0.01": ("0x1.f5dc4882e83efp-1", "0x1.faba4c1194645p-1"),
+    "chain-5": ("0x1.8b5ba212bf5acp-1", "0x1.8b5ba212bf5acp-1"),
+    "chain-3": ("0x1.a723f789854a1p-1", "0x1.a723f789854a1p-1"),
+    "chain-2000": ("0x1.81fb27162c58cp-249", "0x1.81fb27162c588p-249"),
+}
+
+Q_DELTA_MODELS = {
+    **{
+        f"dds-{s}-{e}": partial(make_dds, s, e)
+        for s in DDS_STRATEGIES for e in (0.1, 0.01)
+    },
+    **{f"two-type-{e}": partial(two_type_basic, 4, 4, 1.0, e) for e in (0.1, 0.01, 1e-3)},
+    **{f"two-type-{n}": partial(two_type_basic, n, n, 1.0, 0.1) for n in (2, 8, 20, 40)},
+    **{f"deferred-{e}": partial(two_type_deferred, epsilon=e) for e in (0.15, 0.1, 0.01)},
+    **{f"unbalanced-{e}": partial(two_type_unbalanced, epsilon=e) for e in (0.1, 0.01)},
+    "chain-5": partial(make_birth_death_chain, 5, 0.1),
+    "chain-3": partial(make_birth_death_chain, 3, 0.3),
+    # a dominant path of 1,999 steps, past Python's recursion limit
+    "chain-2000": partial(make_birth_death_chain, 2000, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_Q_DELTA)
+def test_q_delta_is_pinned(name):
+    model = Q_DELTA_MODELS[name]()
+    result = preprocess(model)
+    got = tuple(
+        compute_q_delta(ChangeOfMeasure(k, result=result, epsilon=model.epsilon)).hex()
+        for k in ("zva-delta", "zva-dbar")
+    )
+    assert got == PINNED_Q_DELTA[name]
+
+
+@pytest.mark.parametrize("name", ["dedicated", "fcfs", "redundancy", "deferred"])
+def test_q_delta_disturbs_nothing(monkeypatch, name):
+    """The walk reads the rows preprocessing resolved on a sampler of its
+    own: it makes no model call, indexes no state, and a plain estimate
+    run after it reads as one run on a fresh preprocessing."""
+    model = PIN_MODELS[name]()
+    fresh = run_estimator(model, com_for("zva-delta", model), n_runs=2000, seed=5)
+    result = preprocess(model)
+    size, calls = len(result.chain), []
+    read = model.successors
+    monkeypatch.setattr(model, "successors", lambda x: calls.append(x) or read(x))
+    for kind in ZVA_MEASURES:
+        compute_q_delta(ChangeOfMeasure(kind, result=result, epsilon=model.epsilon))
+    assert (calls, len(result.chain)) == ([], size)
+    com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
+    after = run_estimator(model, com, n_runs=2000, seed=5)
+    assert replace(after, wall_time_s=0.0) == replace(fresh, wall_time_s=0.0)
+
+
 # ---------------------------------------------------------- estimators
 
 def test_plain_estimator_matches_oracle_within_ci():
@@ -715,6 +795,7 @@ PIN_MODELS = {
     "dedicated": lambda: make_dds("dedicated", 0.01),
     "fcfs": lambda: make_dds("fcfs", 0.01),
     "redundancy": lambda: two_type_basic(20, 20, 1.0, 0.1),
+    "deferred": lambda: two_type_deferred(epsilon=0.1),
     "revisit": Revisit,
 }
 
