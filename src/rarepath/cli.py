@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-import time
 
 from rarepath.errors import (
     ConfigError,
@@ -105,7 +104,11 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
 def _epsilons(args: argparse.Namespace) -> list[float]:
     if not args.epsilon:
         raise ConfigError("at least one --epsilon is required")
-    return [parse_number("--epsilon", e, float) for e in args.epsilon]
+    epsilons = [parse_number("--epsilon", e, float) for e in args.epsilon]
+    for eps in epsilons:
+        if not 0.0 < eps < 1.0:  # nan fails too
+            raise ConfigError(f"--epsilon must lie strictly between 0 and 1: {eps}")
+    return epsilons
 
 
 def _write(text: str, out: str | None, mode: str = "w") -> None:

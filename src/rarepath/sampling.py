@@ -19,16 +19,16 @@ likelihood ratio 1.  Frontier states carry the values that preprocessing
 resolved from their own rows, which are positive whenever the goal is
 reachable from them, so leaving Lambda is never starved of probability.
 
-``ChangeOfMeasure`` owns both rules of a measure, each over one row and
-the path's context: q (``distribution``) and the context after a position
-(``next_context``), which for ZVA also says whether every step so far took
-one of preprocessing's ``dominant_edges``.  ``Sampler`` walks nodes
-``state * k + context`` (k contexts per state) into g or t; each node's step
-holds q, the next node and p/q at every position, so the walk tests no
-measure's kind or context.  A terminal position holds an end code, set once
-when the position is first drawn: g's and t's own negative ids, or for ZVA
-one of three codes for g along a dominant edge and g or t after leaving
-Lambda, so a path's end labels are read, not worked out.  Each path is one
+``ChangeOfMeasure`` owns every rule of a measure over one row and the
+path's context: q (``distribution``), the number of contexts k
+(``contexts``) and the node after a position (``next_node``), which for ZVA
+also says whether every step so far took one of preprocessing's
+``dominant_edges``.  A node is ``state * k + context``, and a terminal
+position's next node is an end code: g's and t's own negative ids, or for
+ZVA one of three codes for g along a dominant edge and g or t after leaving
+Lambda, so a path's end labels are read, not worked out.  ``Sampler`` walks
+nodes into g or t; each node's step holds q, the next node and p/q at every
+position, so the walk tests no measure's kind or context.  Each path is one
 ``Sampler.sample`` call returning a slots ``PathSample``.
 
 Estimators
@@ -38,7 +38,7 @@ Estimators
                 averaged over all N runs.
 * ``plusplus``: P(dominant) + Q(non-dominant) * Y, where Y averages L over
                 the M non-dominant runs only and Q(dominant) sums q over
-                a sampler's DOMINANT nodes; its variance uses the
+                the measure's DOMINANT nodes; its variance uses the
                 conditional decomposition Q(Psi) * Var(L | Psi) / N.
 """
 
@@ -136,17 +136,30 @@ class ChangeOfMeasure:
                 return q
         return probs
 
-    def next_context(self, state: int, row: Row, context: int, i: int) -> int:
-        """The context after position ``i`` of ``state``'s ``row``: for igbs
-        whether the step has order 0; for ZVA in Lambda LEFT if the target
-        (which must be classified) is not, DOMINANT from DOMINANT along a
-        dominant edge, else INSIDE; otherwise off."""
-        if self.kind == "igbs":
-            return row[2][i] == 0
-        if not (context and self.is_zva and row[0][i] in self.result.lambda_indices):
-            return LEFT
+    @property
+    def contexts(self) -> int:
+        """k, the contexts per state: 3 for ZVA, 2 for igbs, else 1."""
+        return 3 if self.is_zva else 2 if self.kind == "igbs" else 1
+
+    def next_node(self, state: int, row: Row, context: int, i: int) -> int:
+        """The node after position ``i`` of ``state``'s ``row`` in ``context``,
+        its target classified: a state z gives z * ``contexts`` plus the next
+        context, for igbs whether the step has order 0, for ZVA DOMINANT from
+        DOMINANT along a dominant edge, INSIDE in Lambda, else LEFT.  g and t
+        give their ids, or for ZVA an end code: DOMINANT_GOAL along a dominant
+        edge (never into t) from DOMINANT, LEFT_GOAL or LEFT_TABOO from LEFT."""
+        z = row[0][i]
+        if z >= 0 and self.kind == "igbs":
+            return z * 2 + (row[2][i] == 0)
+        if not self.is_zva:
+            return z
         on = context == DOMINANT and i in self.result.dominant_edges[state]
-        return DOMINANT if on else INSIDE
+        if z >= 0:
+            inside = context and z in self.result.lambda_indices
+            return z * 3 + ((DOMINANT if on else INSIDE) if inside else LEFT)
+        if context == LEFT:
+            return LEFT_GOAL if z == GOAL_CODE else LEFT_TABOO
+        return DOMINANT_GOAL if on else z
 
 
 class PathSample:
@@ -206,11 +219,10 @@ class Sampler:
     Walks the chain in index space: the ZVA measures read the
     preprocessing result's chain (with its cycle-removal rows), the others
     a chain of their own.  A node is ``state * k + context``, k being the
-    measure's number of contexts (3 for ZVA, 2 for igbs), so a state of
-    Lambda may have an INSIDE and a DOMINANT node; for k = 1 (mc, bfb) a
-    node is its state's chain index and its step's next nodes are the
-    row's own target list.  g and t keep the chain's negative ids, except
-    where a ZVA position's end code says more (``_resolve``).  The
+    measure's ``contexts``, so a state of Lambda may have an INSIDE and a
+    DOMINANT node; for k = 1 (mc, bfb) a node is its state's chain index
+    and its step's next nodes are the row's own target list.  Elsewhere a
+    next node, end codes included, is the measure's ``next_node``.  The
     step list is indexed by node id: k slots of 8 bytes per state of the
     chain's index range.  A step is compiled on a node's first visit and a
     next node resolved on its position's first draw, so a sampler grows
@@ -222,7 +234,7 @@ class Sampler:
         is_zva = com.is_zva
         chain = self.chain = com.result.chain if is_zva else Chain(model)
         #: contexts per state: a node is state * k + context
-        k = self._k = 3 if is_zva else 2 if com.kind == "igbs" else 1
+        k = self._k = com.contexts
         #: compiled steps by node id; None (or an id past the end) marks a
         #: node not compiled yet
         self._steps: list[Step | None] = []
@@ -286,24 +298,13 @@ class Sampler:
         return share(vector, vector)
 
     def _resolve(self, node: int, i: int) -> int:
-        """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept there.
-
-        A terminal position is labelled here, once: g and t keep their ids,
-        but a ZVA position writes DOMINANT_GOAL for g along a dominant edge
-        from DOMINANT, and LEFT_GOAL or LEFT_TABOO from LEFT, so ``sample``
-        reads a path's end labels from the code alone.  A dominant edge ends
-        in g, never in t.  igbs gets no ZVA code."""
-        chain, k = self.chain, self._k
-        state, context = divmod(node, k)
-        nxt = chain.target(state, i)
-        if nxt >= 0:  # a state: its node in the next context
-            nxt = nxt * k + self.com.next_context(state, chain.fetch(state), context, i)
-        elif self.com.is_zva:  # an end code by the context it ends from
-            if context == LEFT:
-                nxt = LEFT_GOAL if nxt == GOAL_CODE else LEFT_TABOO
-            elif context == DOMINANT and i in self.com.result.dominant_edges[state]:
-                nxt = DOMINANT_GOAL
-        self._steps[node][1][i] = nxt
+        """igbs, ZVA: the node after position ``i`` of ``node``'s step, kept
+        there: ``chain.target`` classifies the target, and the measure's
+        ``next_node`` gives the node or, once per position, the end code."""
+        state, context = divmod(node, self._k)
+        self.chain.target(state, i)
+        row = self.chain.fetch(state)
+        nxt = self._steps[node][1][i] = self.com.next_node(state, row, context, i)
         return nxt
 
     def sample(self, rng: random.Random) -> PathSample:
@@ -342,26 +343,25 @@ def compute_q_delta(com: ChangeOfMeasure) -> float:
     """Probability that a sampled path is dominant, under the measure.
 
     w(DOMINANT_GOAL) = 1, and w(n) sums q * w(next) over n's positions into
-    DOMINANT_GOAL or a DOMINANT node, in row order, on a sampler of its own;
-    returns w at s.  A stack, not recursion, walks the nodes, which form no
-    cycle and lie in Lambda, whose rows are classified.
+    DOMINANT_GOAL or a DOMINANT node, in row order, with q and the next
+    nodes from the measure's own rules over the chain's rows; returns w at
+    s.  A stack, not recursion, walks the nodes, which form no cycle and
+    lie in Lambda, whose rows preprocessing classified.
     """
     if not com.is_zva:
         raise ConfigError("dominance probability requires a ZVA measure")
-    sampler = Sampler(com.result.chain.model, com)
-    k, w, terms = sampler._k, {DOMINANT_GOAL: 1.0}, {}
-    stack = [start := sampler.chain.s_index * k + DOMINANT]
+    chain, k, w, terms = com.result.chain, com.contexts, {DOMINANT_GOAL: 1.0}, {}
+    stack = [start := chain.s_index * k + DOMINANT]
     while stack:
         node = stack[-1]
         if node in terms:  # expanded, and every next node is done
             stack.pop()
             w[node] = reduce(add, [qi * w[nxt] for qi, nxt in terms[node]], 0.0)
             continue
-        sampler._compile(node)
-        q = com.distribution(sampler.chain.fetch(node // k), DOMINANT)
+        row = chain.row(state := node // k)
         terms[node] = nexts = [
-            (qi, nxt) for i, qi in enumerate(q)
-            if (nxt := sampler._resolve(node, i)) == DOMINANT_GOAL
+            (qi, nxt) for i, qi in enumerate(com.distribution(row, DOMINANT))
+            if (nxt := com.next_node(state, row, DOMINANT, i)) == DOMINANT_GOAL
             or nxt >= 0 and nxt % k == DOMINANT
         ]
         stack += [nxt for _qi, nxt in nexts if nxt not in w]

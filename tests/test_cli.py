@@ -405,6 +405,25 @@ def test_bad_epsilon_is_a_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["preprocess", "estimate", "compare", "exact"])
+@pytest.mark.parametrize("epsilon", ["0", "1", "1.5", "-0.1", "nan", "inf"])
+def test_epsilon_outside_the_unit_interval_is_a_config_error(capsys, command, epsilon):
+    """No rarity order means anything unless 0 < eps < 1, nan included."""
+    code, _out, err = run_cli(
+        capsys, command, "--model", "two-type", f"--epsilon={epsilon}"
+    )
+    assert code == 2
+    assert "--epsilon" in err
+
+
+def test_epsilon_from_a_config_file_is_checked(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("model = two-type\nepsilon = 0.1, 1.5\n")
+    code, _out, err = run_cli(capsys, "preprocess", "--config", str(conf))
+    assert code == 2
+    assert "--epsilon" in err
+
+
 @pytest.mark.parametrize(
     "argv, conf, option",
     [

@@ -548,17 +548,24 @@ def test_q_delta_is_pinned(name):
 
 @pytest.mark.parametrize("name", ["dedicated", "fcfs", "redundancy", "deferred"])
 def test_q_delta_disturbs_nothing(monkeypatch, name):
-    """The walk reads the rows preprocessing resolved on a sampler of its
-    own: it makes no model call, indexes no state, and a plain estimate
-    run after it reads as one run on a fresh preprocessing."""
+    """The walk reads the rows preprocessing resolved through the measure's
+    own rules: it makes no model call, indexes no state, compiles no
+    sampler step, and a plain estimate run after it reads as one run on a
+    fresh preprocessing."""
     model = PIN_MODELS[name]()
     fresh = run_estimator(model, com_for("zva-delta", model), n_runs=2000, seed=5)
     result = preprocess(model)
     size, calls = len(result.chain), []
     read = model.successors
     monkeypatch.setattr(model, "successors", lambda x: calls.append(x) or read(x))
-    for kind in ZVA_MEASURES:
-        compute_q_delta(ChangeOfMeasure(kind, result=result, epsilon=model.epsilon))
+
+    def compile_nothing(self, node):
+        raise AssertionError(f"q_delta compiled the sampler step of node {node}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Sampler, "_compile", compile_nothing)
+        for kind in ZVA_MEASURES:
+            compute_q_delta(ChangeOfMeasure(kind, result=result, epsilon=model.epsilon))
     assert (calls, len(result.chain)) == ([], size)
     com = ChangeOfMeasure("zva-delta", result=result, epsilon=model.epsilon)
     after = run_estimator(model, com, n_runs=2000, seed=5)
