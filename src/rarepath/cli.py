@@ -187,6 +187,8 @@ def _run_rows(args: argparse.Namespace, with_mc_baseline: bool) -> list[list[str
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     n_runs = parse_number("--runs", args.runs, int)
+    if n_runs is not None and n_runs < 1:
+        raise ConfigError(f"--runs must be at least 1: {n_runs}")
     budget_ms = parse_number("--time-budget", args.time_budget, float)
     if n_runs is None and budget_ms is None:
         n_runs = 10_000
@@ -254,12 +256,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
     out = []
     for epsilon in _epsilons(args):
         model = build_model(args.model, epsilon, params)
-        try:  # the reduced chain has no order-0 cycles to slow the sweeps
+        try:  # solve the reduced chain only if it lost an order-0 cycle (fewer sweeps)
             result = preprocess(model, state_budget=cap)
         except GoalUnreachableError:
             pi_s = 0.0
         else:
-            pi_s, _ = exact_hitting_probability(model, result, state_cap=cap)
+            reduced = result if result.hpc_count else None
+            pi_s, _ = exact_hitting_probability(model, reduced, state_cap=cap)
         out.append({"model": args.model, "epsilon": epsilon, "probability": pi_s})
     _write(json.dumps(out, indent=2) + "\n", args.out)
     return 0

@@ -151,11 +151,12 @@ def loop_detect(chain: Chain, trigger: int) -> list[int] | None:
 def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
     """Explore the chain from s in order of increasing rarity order.
 
-    Returns shortest-order distances d(s, x), the relevant set Lambda and
-    the number of order-0 cycles removed.
+    Returns shortest-order distances d(s, x), the relevant set Lambda (the
+    states settled) and the number of order-0 cycles removed.
     Exploration stops once every state at distance <= d(s, g) has been
-    expanded; cycle removal may lower already-settled distances, in which
-    case the affected states are re-queued.
+    expanded.  A removed cycle re-queues, at their distances, its settled
+    members, whose rows changed, and the state being scanned, whose scan
+    it cut short; orders are >= 0, so no distance already settled falls.
     """
     s = chain.s_index
     goal = chain.goal_index
@@ -173,45 +174,27 @@ def forward_phase(chain: Chain) -> tuple[dict[int, Order], frozenset[int], int]:
         settled.add(x)
         if x < 0:
             continue
-        expand = True
-        while expand:
-            expand = False
-            targets, _probs, orders = chain.row(x)
-            for z, r in zip(targets, orders):
-                nd = du + r
-                if nd < d.get(z, INFINITY):
-                    d[z] = nd
-                    settled.discard(z)
-                    heapq.heappush(heap, (nd, z))
-                if (
-                    r == 0
-                    and z in settled
-                    and z >= 0
-                    and d.get(z) == du
-                    and z not in benign
-                ):
-                    members = loop_detect(chain, z)
-                    if members is None:
-                        benign.add(z)
-                        continue
-                    hpc_count += 1
-                    benign.clear()
-                    for m in members:
-                        if m in settled:
-                            settled.discard(m)
-                            heapq.heappush(heap, (d[m], m))
-                    if x in members:
-                        # x's own row was replaced; it was re-queued above
-                        expand = False
-                        break
-                    # other rows changed but x's is intact: rescan x
-                    expand = True
-                    break
+        targets, _probs, orders = chain.row(x)
+        for z, r in zip(targets, orders):
+            nd = du + r
+            if nd < d.get(z, INFINITY):
+                d[z] = nd
+                heapq.heappush(heap, (nd, z))
+            if r == 0 and z in settled and z >= 0 and d.get(z) == du and z not in benign:
+                members = loop_detect(chain, z)
+                if members is None:
+                    benign.add(z)
+                    continue
+                hpc_count += 1
+                benign.clear()
+                for m in (*members, x):
+                    if m in settled:
+                        settled.discard(m)
+                        heapq.heappush(heap, (d[m], m))
+                break
     if goal not in d:
         raise GoalUnreachableError("goal is unreachable from the initial state")
-    d_goal = d[goal]
-    lambda_set = frozenset(x for x in settled if d[x] <= d_goal)
-    return d, lambda_set, hpc_count
+    return d, frozenset(settled), hpc_count
 
 
 def backward_phase(chain: Chain, lambda_set: frozenset[int]) -> tuple:

@@ -445,6 +445,8 @@ def run_estimator(
         raise ConfigError(f"variant {variant!r} requires a ZVA measure")
     if (n_runs is None) == (time_budget_ms is None):
         raise ConfigError("give exactly one of n_runs and time_budget_ms")
+    if n_runs is not None and n_runs < 1:
+        raise ConfigError(f"n_runs must be at least 1: {n_runs}")
     # a NaN deadline is never reached
     if time_budget_ms is not None and not 0.0 < time_budget_ms < math.inf:
         raise ConfigError(f"time budget must be finite and positive: {time_budget_ms}")

@@ -14,7 +14,7 @@ from conftest import dense_hitting_probability
 
 from rarepath import cli, exact, sampling
 from rarepath.cli import main
-from rarepath.model import MarkovModel
+from rarepath.model import MarkovModel, coded_arrays
 from rarepath.zoo import two_type_unbalanced
 
 
@@ -85,6 +85,22 @@ def test_exact_solves_the_reduced_chain(capsys, monkeypatch):
     model = two_type_unbalanced(epsilon=0.001)
     reference = dense_hitting_probability(model)[model.initial_state]
     assert entry["probability"] == pytest.approx(reference, rel=1e-9)
+
+
+def test_exact_reads_a_chain_with_no_cycle_removed_in_bulk(capsys, monkeypatch):
+    """DDS dedicated loses no cycle to preprocessing, so its oracle builds
+    the model's own chain from codes and prints the oracle pin."""
+    calls = []
+
+    def spy(model, state_cap):
+        calls.append(state_cap)
+        return coded_arrays(model, state_cap)
+
+    monkeypatch.setattr(exact, "coded_arrays", spy)
+    code, out, _ = run_cli(capsys, "exact", "--model", "dds", "--epsilon", "0.01")
+    assert code == 0
+    assert calls == [exact.DEFAULT_STATE_CAP]
+    assert json.loads(out)[0]["probability"].hex() == "0x1.2c442e0857a29p-16"
 
 
 def test_exact_unreachable_goal_prints_zero(capsys, monkeypatch):
@@ -382,6 +398,46 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
         assert repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "conf, message",
+    [
+        ("method = foo\n", "unknown method 'foo'"),
+        ("variant = bar\n", "unknown variant 'bar'"),
+        ("format = xml\n", "unknown output format 'xml'"),
+        ("not a pair\n", "exp.conf:1: expected key=value"),
+    ],
+    ids=["method", "variant", "format", "no-equals"],
+)
+def test_bad_config_entry_is_a_config_error(tmp_path, capsys, conf, message):
+    path = tmp_path / "exp.conf"
+    path.write_text(conf + "model = chain\nepsilon = 0.1\nruns = 10\n")
+    code, _out, err = run_cli(capsys, "estimate", "--config", str(path))
+    assert code == 2
+    assert message in err
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    code, _out, err = run_cli(
+        capsys, "estimate", "--config", str(tmp_path / "missing.conf")
+    )
+    assert code == 2
+    assert "cannot read config file" in err
+
+
+def test_param_without_a_value_is_a_config_error(capsys):
+    code, _out, err = run_cli(
+        capsys, "exact", "--model", "chain", "--epsilon", "0.1", "--param", "levels"
+    )
+    assert code == 2
+    assert "--param expects key=value, got 'levels'" in err
+
+
+def test_missing_epsilon_is_a_config_error(capsys):
+    code, _out, err = run_cli(capsys, "preprocess", "--model", "chain")
+    assert code == 2
+    assert "at least one --epsilon is required" in err
+
+
 def test_missing_model_is_a_config_error(capsys):
     code, _out, err = run_cli(capsys, "estimate", "--epsilon", "0.1")
     assert code == 2
@@ -492,6 +548,22 @@ def test_workers_below_one_or_beside_a_time_budget_is_a_config_error(capsys, fla
     )
     assert code == 2
     assert "workers" in err
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_runs_below_one_is_a_config_error(capsys, monkeypatch, runs, workers):
+    """Rejected by name before any stream runs or any process starts."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", no_pool)
+    code, _out, err = run_cli(
+        capsys, "estimate", "--model", "chain", "--epsilon", "0.1", "--runs", runs, *workers
+    )
+    assert code == 2
+    assert f"--runs must be at least 1: {runs}" in err
 
 
 @pytest.mark.parametrize("command", ["preprocess", "estimate", "compare", "exact"])

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarepath import preproc
 from rarepath.errors import GoalUnreachableError, ModelError, StateBudgetExceeded
 from rarepath.exact import exact_hitting_probability
 from rarepath.model import UNSEEN, MarkovModel
 from rarepath.orders import INFINITY
-from rarepath.preproc import preprocess, solve_absorbing
+from rarepath.preproc import loop_detect, preprocess, solve_absorbing
 from rarepath.sampling import ChangeOfMeasure, run_estimator
 from rarepath.zoo import (
     make_birth_death_chain,
@@ -333,6 +334,88 @@ def test_replacement_rows_and_values_pinned(name):
         hashlib.sha256(dump.encode()).hexdigest(),
     )
     assert got == PINNED_PREPROC[name], dump
+
+
+class _CycleBesideTheScan(_Table):
+    """A CTMC whose order-0 cycle {z, w} is found while the forward phase
+    scans x, a state outside it.  s, x, z and w sit at d = 0 and pop in the
+    order s, z, x, so x's order-0 edge into the settled z triggers cycle
+    removal, which replaces the rows of z and w but not x's.  Given an edge
+    to y after it, x's scan must go on past z to reach y."""
+
+    emits_rates = True
+    epsilon = 0.01
+    rows = {
+        "s": [("z", 1.0, 0), ("x", 1.0, 0)],
+        "x": [("z", 1.0, 0), ("t", 1.0, 0)],
+        "z": [("w", 1.0, 0), ("t", 0.01, 1)],
+        "w": [("z", 1.0, 0), ("g", 0.01, 1)],
+        "y": [("t", 1.0, 0), ("g", 0.01, 1)],
+    }
+
+
+#: per extra edge of x: v of s, x and y as ``float.hex``, then pi(s) of the
+#: reduced chain
+PINNED_BESIDE = {
+    "none": (
+        ["'s' 0x1.7e16ece540f48p-2", "'x' 0x1.fd73e68701460p-3"],
+        "0x1.7e16ece540f48p-2",
+    ),
+    "to-y": (
+        [
+            "'s' 0x1.53a299af562eap-2", "'x' 0x1.53a299af562eap-3",
+            "'y' 0x1.446f86562d9fbp-7",
+        ],
+        "0x1.55532e6273c0dp-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", PINNED_BESIDE)
+def test_cycle_found_beside_the_scanned_state_pinned(monkeypatch, extra):
+    """The first cycle found, from x, leaves x out.  d, Lambda, the
+    replacement rows and v are pinned bit for bit; d and Lambda are checked
+    against Bellman-Ford and pi of the reduced chain against the full
+    chain's."""
+    calls = []
+
+    def recording(chain, trigger):
+        members = loop_detect(chain, trigger)
+        calls.append((chain.state(trigger), members and [*map(chain.state, members)]))
+        return members
+
+    monkeypatch.setattr(preproc, "loop_detect", recording)
+    model = _CycleBesideTheScan()
+    if extra == "to-y":
+        model.rows = {**model.rows, "x": [*model.rows["x"], ("y", 1.0, 0)]}
+    values, pi_pin = PINNED_BESIDE[extra]
+    result = preprocess(model)
+    chain = result.chain
+    name = _namer(chain)
+    assert calls[0] == ("z", ["z", "w"])
+    assert result.hpc_count == 1
+    states = ["s", "z", "x", "w", *(["y"] if extra == "to-y" else [])]
+    assert chain.descriptors == states
+    assert {name(x): dx for x, dx in result.d_forward.items()} == dict.fromkeys(
+        [*map(repr, states), "g", "t"], 0
+    )
+    assert result.lambda_indices == result.d_forward.keys()
+    dist, dist_goal = bellman_ford_distance(model, result)
+    assert dist == dict.fromkeys(states, 0) and dist_goal == result.d_sg == 0
+    assert _preproc_dump(result).splitlines() == [
+        "'w' ['g', 't'] ['0x1.01460cbc7f5cfp-1', '0x1.fd73e68701460p-2'] [0, 0]",
+        "'z' ['g', 't'] ['0x1.fd73e68701460p-2', '0x1.01460cbc7f5cfp-1'] [0, 0]",
+        values[0],
+        "'w' 0x1.01460cbc7f5cfp-1",
+        *values[1:],
+        "'z' 0x1.fd73e68701460p-2",
+        "g 0x1.0000000000000p+0",
+        "t 0x0.0p+0",
+    ]
+    pi_reduced, _ = exact_hitting_probability(model, result)
+    pi_full, _ = exact_hitting_probability(model)
+    assert pi_reduced.hex() == pi_pin
+    assert pi_reduced == pytest.approx(pi_full, rel=1e-11)
 
 
 def _backward_dump(result):

@@ -665,6 +665,19 @@ def test_estimator_rejects_bad_configuration():
         run_estimator(model, com, n_runs=10, time_budget_ms=10.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_runs", [0, -5])
+def test_runs_below_one_are_rejected_before_any_stream(monkeypatch, n_runs, workers):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream started")
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", no_stream)
+    monkeypatch.setattr(sampling, "_run_stream", no_stream)
+    model = make_birth_death_chain(5, 0.1)
+    with pytest.raises(ConfigError, match="n_runs must be at least 1"):
+        run_estimator(model, ChangeOfMeasure("mc"), n_runs=n_runs, workers=workers)
+
+
 @pytest.mark.parametrize("budget_ms", [math.nan, math.inf, 0.0, -5.0])
 def test_time_budget_must_be_finite_and_positive(budget_ms):
     """A NaN deadline is never reached, so the stream would not stop."""
